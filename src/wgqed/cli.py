@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -59,12 +60,14 @@ def fmt(x: float) -> str:
 
 def parse_range(spec: str) -> np.ndarray:
     """Parse 'start:stop:step' into an inclusive grid; 'x' alone is a single point."""
-    parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in spec.split(":")]
+        if not all(map(math.isfinite, values)):
+            raise ValueError
+        if len(values) == 1:
+            return np.array(values)
+        if len(values) == 3:
+            start, stop, step = values
             if step <= 0 or stop < start:
                 raise ValueError
             n = int(round((stop - start) / step))
@@ -180,7 +183,7 @@ def run_trajectory(args) -> tuple[Trajectory, WaveguideParams]:
     t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
     sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
     x0 = initial_xstate(args.state, args.f)
-    traj = evolve_xstate(x0, r, p, t_max, sample_dt, rtol=args.rtol)
+    traj = evolve_xstate(x0, r, p, t_max, sample_dt)
     return traj, p
 
 
@@ -217,7 +220,7 @@ def cmd_evolve(args, argv) -> int:
             "generated_by": GENERATED_BY,
             "config": effective_config(
                 args, ["state", "f", "lambda_ratio", "gamma", "gamma_nr",
-                       "delta_bare", "g", "t_max", "sample_dt", "rtol"]),
+                       "delta_bare", "g", "t_max", "sample_dt"]),
             "rates": rates_dict(traj.rates),
             "esd": {
                 "death_times_us": report.death_times,
@@ -240,8 +243,7 @@ def scan_cell(args, f: float, lambda_ratio: float) -> list:
     r = derive_rates(p)
     t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
     sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
-    traj = evolve_xstate(initial_xstate(args.state, f), r, p, t_max, sample_dt,
-                         rtol=args.rtol)
+    traj = evolve_xstate(initial_xstate(args.state, f), r, p, t_max, sample_dt)
     rep = detect_events(traj)
     died = 1 if rep.death_times else 0
     revived = 1 if rep.revival_times else 0
@@ -255,6 +257,8 @@ def cmd_scan(args, argv) -> int:
     fs = parse_range(args.f_range) if args.f_range else np.array([])
     try:
         ratios = [float(s) for s in args.lambda_ratios.split(",")] if args.lambda_ratios else []
+        if not all(map(math.isfinite, ratios)):
+            raise ValueError
     except ValueError:
         raise UsageError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
     cells = [(f, lr) for f in fs for lr in ratios]  # f-major order
@@ -312,7 +316,7 @@ def cmd_prepare(args, argv) -> int:
 def cmd_mix(args, argv) -> int:
     cfg = RabiConfig(omega=mhz(args.omega), gamma_nr=mhz(args.gamma_nr),
                      pulse_duration=args.pulse, wait_duration=args.wait,
-                     final_flip=args.flip, sample_dt=args.sample_dt or 0.01)
+                     final_flip=args.flip, sample_dt=args.sample_dt)
     res = mixed_qubit(cfg)
     if args.format == "json":
         payload = {
@@ -366,7 +370,6 @@ def add_common(sp, time_grid=True):
     if time_grid:
         sp.add_argument("--t-max", type=float, default=None, help="us (default 8/gamma)")
         sp.add_argument("--sample-dt", type=float, default=None, help="us (default t_max/1000)")
-        sp.add_argument("--rtol", type=float, default=1e-10)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--config", default=None, help="key-value configuration file")
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, time_grid=False)
     sp.set_defaults(func=cmd_rates)
 
-    sp = sub.add_parser("evolve", help="integrate one trajectory")
+    sp = sub.add_parser("evolve", help="propagate one trajectory")
     sp.add_argument("--state", choices=("werner", "pw"), default="werner")
     sp.add_argument("--f", type=float, required=True)
     sp.add_argument("--lambda-ratio", type=float, required=True)
@@ -413,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pulse", type=float, default=35.0, help="pulse duration, us")
     sp.add_argument("--wait", type=float, default=0.0, help="wait after pulse, us")
     sp.add_argument("--flip", action="store_true", help="final pi-pulse (maps f to 1-f)")
-    sp.add_argument("--sample-dt", type=float, default=None, help="us")
+    sp.add_argument("--sample-dt", type=float, default=0.01, help="us (default 0.01)")
     add_common(sp, time_grid=False)
     sp.set_defaults(func=cmd_mix)
 
@@ -438,6 +441,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         known = {k for k in vars(args) if k not in ("func", "command", "config")}
         apply_config(args, argv, known)
+        for key in known:
+            value = getattr(args, key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

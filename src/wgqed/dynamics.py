@@ -1,7 +1,11 @@
-"""Time integration of the master equation.
+"""Exact time evolution of the master equation.
 
-Two paths are provided: ``evolve_full`` integrates the vectorized 4x4
-density matrix under the full generator, ``evolve_xstate`` integrates the
+Every generator here is constant in time, so rho(t) = expm(L t) rho0
+holds exactly: :func:`propagate` takes one matrix exponential of the
+generator times the sample step and applies it once per sample.
+
+Two paths are provided: ``evolve_full`` propagates the vectorized 4x4
+density matrix under the full generator, ``evolve_xstate`` propagates the
 eight real degrees of freedom of an X-shape state.  The reduced
 right-hand side is obtained by restricting the generator to the X
 manifold numerically, not by transcribing closed-form kinetic equations;
@@ -11,19 +15,26 @@ a hand-transcribed version is kept only as a cross-check
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .linalg import STRUCT_TOL
 from .model import DerivedRates, WaveguideParams, apply_generator, build_generator
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
+#: most samples one time grid may hold; admits the longest wait
+#: ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
+MAX_SAMPLES = 10**6 + 1
+
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator cannot reach t_max."""
+    """Raised when propagation produces a non-finite state.
+
+    ``last_time`` is the time of the last finite sample.
+    """
 
     def __init__(self, message: str, last_time: float):
         super().__init__(message)
@@ -47,6 +58,9 @@ class XState:
     w: complex = 0j
 
     def validate(self, tol: float = STRUCT_TOL) -> "XState":
+        for name in ("a", "b", "c", "d", "z", "w"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"element {name}={getattr(self, name)} is not finite")
         pops = (self.a, self.b, self.c, self.d)
         if abs(sum(pops) - 1.0) > tol:
             raise ValueError(f"populations sum to {sum(pops)}, not 1")
@@ -96,7 +110,7 @@ def off_x_leakage(m: np.ndarray) -> float:
 
 @dataclass
 class Trajectory:
-    """Time-ordered samples of a master-equation integration run."""
+    """Time-ordered samples of a master-equation propagation run."""
 
     times: np.ndarray
     states: list  # list[XState] or list of 4x4 ndarrays
@@ -138,57 +152,68 @@ def xstate_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
     return XState.from_matrix(d)
 
 
+def grid_steps(duration: float, dt: float) -> int:
+    """Number of dt steps covering duration.
+
+    Raises ValueError, before anything is allocated, when the grid's
+    steps + 1 samples would exceed MAX_SAMPLES.
+    """
+    steps = duration / dt
+    if steps < MAX_SAMPLES and round(steps) < MAX_SAMPLES:
+        return round(steps)
+    raise ValueError(f"{duration:.6g} us at sample_dt = {dt:.6g} us needs "
+                     f"{steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
+
+
 def _sample_times(t_max: float, sample_dt: float) -> np.ndarray:
-    if t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    if not 0 < sample_dt <= t_max:
-        raise ValueError(f"sample_dt must be in (0, t_max], got {sample_dt}")
-    n = int(round(t_max / sample_dt))
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    if not (math.isfinite(sample_dt) and 0 < sample_dt <= t_max):
+        raise ValueError(f"sample_dt must be finite and in (0, t_max], got {sample_dt}")
+    n = grid_steps(t_max, sample_dt)
     return np.linspace(0.0, n * sample_dt, n + 1)
 
 
-def _integrate(rhs, y0, times, rtol, atol, max_step=np.inf):
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol, max_step=max_step)
-    if not sol.success:
-        last = float(sol.t[-1]) if len(sol.t) else float(times[0])
-        raise IntegrationError(f"integration failed at t = {last:.6g} us: {sol.message}", last)
-    return sol
+def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """Samples expm(gen*dt)^k @ y0 for k = 0..n, as an (n + 1, len(y0)) array.
 
-
-def _step_cap(gen: np.ndarray) -> float:
-    """Step-size cap keeping the dense-output interpolant tight.
-
-    The adaptive controller bounds the step error, not the error of the
-    interpolated samples between steps; capping h at ~2/||L|| keeps the
-    interpolation error near round-off so sampled states stay positive
-    to solver accuracy.
+    Exact for a time-independent generator: one matrix exponential
+    (scaling and squaring), then one matrix-vector product per sample.
+    Raises :class:`IntegrationError` at the first non-finite sample.
     """
-    norm = float(np.linalg.norm(gen, 2))
-    return 2.0 / norm if norm > 0 else np.inf
+    y0 = np.asarray(y0)
+    if not np.isfinite(y0).all():
+        raise ValueError("initial state must be finite")
+    out = np.empty((n + 1, len(y0)), dtype=np.result_type(gen, y0, 1.0))
+    out[0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        step = expm(gen * dt)
+        for k in range(n):
+            out[k + 1] = step @ out[k]
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise IntegrationError(f"non-finite state at t = {k * dt:.6g} us", (k - 1) * dt)
+    return out
 
 
 def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: float,
-                rtol: float = DEFAULT_RTOL, rates: DerivedRates | None = None) -> Trajectory:
-    """Integrate the vectorized density matrix under the full generator."""
+                rates: DerivedRates | None = None) -> Trajectory:
+    """Propagate the vectorized density matrix under the full generator."""
     rho0 = np.asarray(rho0, dtype=complex)
     times = _sample_times(t_max, sample_dt)
-    sol = _integrate(lambda t, y: gen @ y, rho0.reshape(-1), times, rtol, DEFAULT_ATOL,
-                     max_step=_step_cap(gen))
-    states = [sol.y[:, i].reshape(4, 4) for i in range(sol.y.shape[1])]
-    return Trajectory(times=times, states=states, rates=rates)
+    ys = propagate(gen, rho0.reshape(-1), sample_dt, len(times) - 1)
+    return Trajectory(times=times, states=[y.reshape(4, 4) for y in ys], rates=rates)
 
 
 def evolve_xstate(x0: XState, r: DerivedRates, p: WaveguideParams, t_max: float,
-                  sample_dt: float, rtol: float = DEFAULT_RTOL) -> Trajectory:
-    """Integrate the eight real X-manifold coordinates (fast path)."""
+                  sample_dt: float) -> Trajectory:
+    """Propagate the eight real X-manifold coordinates (fast path)."""
     x0.validate()
     m = xstate_generator_matrix(build_generator(r, p))
     times = _sample_times(t_max, sample_dt)
-    sol = _integrate(lambda t, y: m @ y, x0.to_vector(), times, rtol, DEFAULT_ATOL,
-                     max_step=_step_cap(m))
-    states = [XState.from_vector(sol.y[:, i]) for i in range(sol.y.shape[1])]
-    return Trajectory(times=times, states=states, rates=r)
+    ys = propagate(m, x0.to_vector(), sample_dt, len(times) - 1)
+    return Trajectory(times=times, states=[XState.from_vector(y) for y in ys], rates=r)
 
 
 # --- cross-check against the hand-transcribed kinetic equations ----------
@@ -238,7 +263,7 @@ def kinetics_discrepancy(r: DerivedRates, p: WaveguideParams, n: int = 50,
     """Max per-element gap between the derived and transcribed X-state RHS.
 
     Returned for logging; the generator-derived right-hand side is the one
-    the integrator uses regardless of what this reports.
+    the propagator uses regardless of what this reports.
     """
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(["a", "b", "c", "d", "z", "w"], 0.0)

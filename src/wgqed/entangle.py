@@ -50,8 +50,8 @@ def entanglement_margin(x: XState) -> float:
 def concurrence_x(x: XState, tol: float = 1e-8) -> float:
     """Closed-form concurrence of an X-shape state, in [0, 1].
 
-    ``tol`` is slightly looser than the structural default so samples at
-    solver accuracy, not machine precision, still validate.
+    ``tol`` is slightly looser than the structural default so propagated
+    samples, which carry accumulated round-off, still validate.
     """
     x.validate(tol=tol)
     c = entanglement_margin(x)
@@ -128,10 +128,10 @@ def _cross_time(t, c, i, eps):
 
 def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
                   tol: float = 0.005, t_max: float | None = None,
-                  rtol: float = 1e-9, samples: int = 1500) -> float:
+                  samples: int = 1500) -> float:
     """Boundary fidelity below which the trajectory exhibits sudden death.
 
-    Bisection over f with the integrated trajectory as oracle; the ESD
+    Bisection over f with the propagated trajectory as oracle; the ESD
     predicate uses the unclamped margin (see :func:`entanglement_margin`).
     Monotonicity over the bracket is verified on a coarse grid first.
     """
@@ -152,7 +152,7 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
     dt = t_max / samples
 
     def has_esd(f: float) -> bool:
-        traj = evolve_xstate(make(f), r, pr, t_max, dt, rtol=rtol)
+        traj = evolve_xstate(make(f), r, pr, t_max, dt)
         margins = [entanglement_margin(x) for x in traj.xstates()]
         return min(margins) < -1e-8
 

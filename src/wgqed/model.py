@@ -11,6 +11,7 @@ removes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class WaveguideParams:
     g: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma", "gamma_nr", "lambda_ratio", "delta_bare", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma_nr < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .linalg import (
     tensor,
     tensor_all,
 )
-from .dynamics import XState, _integrate
+from .dynamics import XState, grid_steps, propagate
 from .model import lindblad_generator, mhz
 
 WAIT_CAP_US = 1e4
@@ -94,7 +95,7 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
 
     Register ordering is |c b a> (auxiliary qubit c slowest).  Exact mode
     applies the two exchange rotations as unitaries; dissipative mode
-    integrates them as Lindblad evolutions with amplitude damping at
+    propagates them as Lindblad evolutions with amplitude damping at
     gamma_nr on every qubit, gate times set by the coupling strengths.
     """
     f = cfg.f
@@ -137,10 +138,7 @@ def _three_qubit_damping(gamma_nr: float) -> list[tuple[float, np.ndarray]]:
 def _dissipative_gate(rho: np.ndarray, h: np.ndarray, duration: float,
                       gamma_nr: float) -> np.ndarray:
     gen = lindblad_generator(h, _three_qubit_damping(gamma_nr))
-    times = np.array([0.0, duration])
-    sol = _integrate(lambda t, y: gen @ y, rho.reshape(-1).astype(complex),
-                     times, 1e-10, 1e-12)
-    return sol.y[:, -1].reshape(8, 8)
+    return propagate(gen, rho.reshape(-1).astype(complex), duration, 1)[-1].reshape(8, 8)
 
 
 @dataclass(frozen=True)
@@ -155,9 +153,14 @@ class RabiConfig:
     sample_dt: float = 0.01
 
     def __post_init__(self):
+        for name in ("omega", "gamma_nr", "pulse_duration", "wait_duration", "sample_dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("omega", "gamma_nr", "pulse_duration", "wait_duration"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.sample_dt <= 0:
+            raise ValueError(f"sample_dt must be > 0, got {self.sample_dt}")
 
 
 @dataclass
@@ -183,33 +186,28 @@ def mixed_qubit(cfg: RabiConfig) -> MixResult:
 
         warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
                       "reach the 1/2-1/2 mixture", stacklevel=2)
-    rho = np.array([[1, 0], [0, 0]], dtype=complex)  # ground
-    times_all, samples = [0.0], [rho]
-
     segments = []
     if cfg.pulse_duration > 0:
         segments.append((cfg.omega / 2 * SIGMA_X, cfg.pulse_duration))
     if cfg.wait_duration > 0:
         segments.append((np.zeros((2, 2), dtype=complex), cfg.wait_duration))
+    steps = [max(grid_steps(duration, cfg.sample_dt), 2) for _, duration in segments]
 
+    times_all = [np.zeros(1)]
+    samples = [np.array([[1, 0, 0, 0]], dtype=complex)]  # ground, vectorized
     t_offset = 0.0
-    for h, duration in segments:
+    for (h, duration), n in zip(segments, steps):
         gen = lindblad_generator(h, [(cfg.gamma_nr, SIGMA_MINUS)])
-        n = max(int(round(duration / cfg.sample_dt)), 2)
-        times = np.linspace(0.0, duration, n + 1)
-        sol = _integrate(lambda t, y: gen @ y, samples[-1].reshape(-1),
-                         times, 1e-8, 1e-12)
-        for i in range(1, sol.y.shape[1]):
-            times_all.append(t_offset + times[i])
-            samples.append(sol.y[:, i].reshape(2, 2))
+        samples.append(propagate(gen, samples[-1][-1], duration / n, n)[1:])
+        times_all.append(t_offset + np.linspace(0.0, duration, n + 1)[1:])
         t_offset += duration
 
-    rho_final = samples[-1]
+    arr = np.concatenate(samples).reshape(-1, 2, 2)
+    rho_final = arr[-1]
     if cfg.final_flip:
         rho_final = SIGMA_X @ rho_final @ SIGMA_X
-    arr = np.array(samples)
     return MixResult(
-        times=np.array(times_all),
+        times=np.concatenate(times_all),
         rho_gg=arr[:, 0, 0].real,
         rho_ee=arr[:, 1, 1].real,
         abs_rho_eg=np.abs(arr[:, 1, 0]),

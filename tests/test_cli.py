@@ -1,11 +1,13 @@
 """Unit tests for the command-line interface (run in-process)."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from wgqed.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_range
+from wgqed.dynamics import MAX_SAMPLES
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
 
 
@@ -188,8 +190,44 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    EVOLVE = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5"]
+
     def test_invalid_physical_parameter(self, capsys):
         assert main(["evolve", "--f", "0.9", "--lambda-ratio", "-1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, field", [
+        (["evolve", "--f", "0.9", "--lambda-ratio", "nan"], "lambda-ratio"),
+        (["evolve", "--f", "0.9", "--lambda-ratio", "inf"], "lambda-ratio"),
+        (["evolve", "--f", "nan", "--lambda-ratio", "1.5"], "--f"),
+        (EVOLVE + ["--t-max", "inf"], "t-max"),
+        (EVOLVE + ["--sample-dt", "nan"], "sample-dt"),
+        (EVOLVE + ["--gamma-nr", "inf"], "gamma-nr"),
+        (EVOLVE + ["--delta-bare", "nan"], "delta-bare"),
+        (["mix", "--omega", "nan"], "omega"),
+        (["mix", "--sample-dt", "0"], "sample_dt"),
+        (["scan", "--f-range", "0.9", "--lambda-ratios", "1.5,nan"], "lambda-ratio"),
+        (["scan", "--f-range", "nan", "--lambda-ratios", "1.5"], "range"),
+        (["rates", "--range", "1:inf:0.5"], "range"),
+    ])
+    def test_bad_input_is_usage_error(self, argv, field, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    def test_over_cap_sample_grid_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        assert main(self.EVOLVE + ["--t-max", "1", "--sample-dt", "1e-9"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 0.5
+        assert f"limit is {MAX_SAMPLES}" in capsys.readouterr().err
+
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys):
+        # finite input, but expm(L dt) overflows for rates near 1e300
+        out = tmp_path / "stale.csv"
+        out.write_text("left over from an earlier run\n")
+        code = main(self.EVOLVE + ["--gamma", "1e300", "--t-max", "1",
+                                   "--sample-dt", "0.5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_fidelity(self, capsys):
         assert main(["evolve", "--state", "pw", "--f", "1.5",

@@ -1,15 +1,27 @@
-"""Unit tests for X-state containers and master-equation integration."""
+"""Unit tests for X-state containers and master-equation propagation."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wgqed
 from wgqed.dynamics import (
+    IntegrationError,
     Trajectory,
     XState,
     evolve_full,
     evolve_xstate,
     kinetics_discrepancy,
     off_x_leakage,
+    propagate,
     random_xstate,
     xstate_generator_matrix,
     xstate_rhs,
@@ -61,6 +73,13 @@ class TestXState:
             XState(a=0.25, b=0.25, c=0.25, d=0.25, z=0.5).validate()
         with pytest.raises(ValueError, match="outer block"):
             XState(a=0.25, b=0.25, c=0.25, d=0.25, w=0.5).validate()
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d", "z", "w"])
+    def test_validate_rejects_non_finite(self, field):
+        x = XState(a=0.4, b=0.3, c=0.2, d=0.1)
+        bad = complex(float("nan"), 0.0) if field in "zw" else float("inf")
+        with pytest.raises(ValueError, match=f"element {field}=.* is not finite"):
+            replace(x, **{field: bad}).validate()
 
     def test_from_matrix_leakage_guard(self):
         m = XState(a=0.4, b=0.3, c=0.2, d=0.1).to_matrix()
@@ -155,6 +174,51 @@ class TestEvolution:
             evolve_xstate(x0, r, p, -1.0, 0.1)
         with pytest.raises(ValueError, match="sample_dt"):
             evolve_xstate(x0, r, p, 1.0, 2.0)
+        for t_max, dt in ((float("inf"), 0.1), (float("nan"), 0.1), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="must be finite"):
+                evolve_xstate(x0, r, p, t_max, dt)
+
+
+class TestPropagate:
+    @settings(max_examples=25, deadline=None)
+    @given(gamma=st.floats(0.0, mhz(10.0)), gamma_nr=st.floats(0.0, mhz(1.0)),
+           ratio=st.floats(0.5, 10.0), delta_bare=st.floats(-mhz(5.0), mhz(5.0)),
+           g=st.floats(-mhz(5.0), mhz(5.0)), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(1e-3, 0.05), n=st.integers(1, 40))
+    def test_exact_semigroup_and_physical(self, gamma, gamma_nr, ratio, delta_bare, g,
+                                          seed, dt, n):
+        p = WaveguideParams(gamma=gamma, gamma_nr=gamma_nr, lambda_ratio=ratio,
+                            delta_bare=delta_bare, g=g)
+        m = xstate_generator_matrix(build_generator(derive_rates(p), p))
+        x0 = random_xstate(np.random.default_rng(seed)).to_vector()
+        ys = propagate(m, x0, dt, n)
+        assert ys.shape == (n + 1, 8)
+        for k in range(n + 1):
+            want = scipy.linalg.expm(m * (k * dt)) @ x0
+            assert np.max(np.abs(ys[k] - want)) < 1e-10
+        one_step = propagate(m, x0, n * dt, 1)
+        assert np.max(np.abs(one_step[-1] - ys[-1])) < 1e-10
+        for y in ys:
+            XState.from_vector(y).validate()
+
+    def test_non_finite_sample_raises_with_last_finite_time(self):
+        # exp(400) is finite, exp(800) overflows: sample 2 is the first bad one
+        with pytest.raises(IntegrationError) as exc:
+            propagate(np.array([[400.0]]), np.array([1.0]), 1.0, 3)
+        assert exc.value.last_time == 1.0
+
+    def test_rejects_non_finite_initial_state(self):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(np.zeros((2, 2)), np.array([1.0, np.nan]), 0.1, 2)
+
+
+def test_import_does_not_load_scipy_integrate():
+    env = dict(os.environ, PYTHONPATH=str(Path(wgqed.__file__).parents[1]))
+    code = ("import sys, wgqed, wgqed.cli; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestKineticsCrossCheck:

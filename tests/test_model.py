@@ -69,6 +69,14 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="lambda_ratio"):
             WaveguideParams(gamma=1.0, gamma_nr=0.0, lambda_ratio=0.0)
 
+    @pytest.mark.parametrize("field", ["gamma", "gamma_nr", "lambda_ratio", "delta_bare", "g"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, bad):
+        kw = dict(gamma=1.0, gamma_nr=0.0, lambda_ratio=2.0, delta_bare=0.0, g=0.0)
+        kw[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WaveguideParams(**kw)
+
     def test_mhz_conversion(self):
         assert mhz(1.0) == pytest.approx(TWO_PI)
 

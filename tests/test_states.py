@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from wgqed.dynamics import MAX_SAMPLES, grid_steps
 from wgqed.linalg import check_density_matrix, fidelity, partial_trace
 from wgqed.model import mhz
 from wgqed.states import (
+    WAIT_CAP_US,
     PrepConfig,
     RabiConfig,
     mixed_qubit,
@@ -144,6 +146,21 @@ class TestMixedQubit:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="must be >= 0"):
             RabiConfig(pulse_duration=-1.0)
+        with pytest.raises(ValueError, match="sample_dt must be > 0"):
+            RabiConfig(sample_dt=0.0)
+
+    @pytest.mark.parametrize("field", ["omega", "gamma_nr", "pulse_duration",
+                                       "wait_duration", "sample_dt"])
+    def test_config_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RabiConfig(**{field: float("nan")})
+
+    def test_sample_cap(self):
+        # the longest wait wait_time_for_f allows fits the cap at the default
+        # step; ten times that is refused before anything is propagated
+        assert grid_steps(WAIT_CAP_US, RabiConfig().sample_dt) + 1 <= MAX_SAMPLES
+        with pytest.raises(ValueError, match=f"limit is {MAX_SAMPLES}"):
+            mixed_qubit(RabiConfig(wait_duration=10 * WAIT_CAP_US))
 
 
 class TestWaitTime:
