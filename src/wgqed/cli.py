@@ -14,14 +14,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from .dynamics import IntegrationError, Trajectory, XState, evolve_xstate
+from .dynamics import IntegrationError, Trajectory, XState, evolve_xstate, xstate_violation
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
@@ -177,31 +176,31 @@ def rates_dict(r) -> dict:
     return out
 
 
+def time_grid(args, gamma: float) -> tuple[float, float]:
+    """(t_max, sample_dt) from the flags, defaulting to 8/gamma and t_max/1000."""
+    t_max = args.t_max if args.t_max is not None else 8.0 / gamma
+    sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
+    return t_max, sample_dt
+
+
 def run_trajectory(args) -> tuple[Trajectory, WaveguideParams]:
     p = make_params(args)
     r = derive_rates(p)
-    t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
-    sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
     x0 = initial_xstate(args.state, args.f)
-    traj = evolve_xstate(x0, r, p, t_max, sample_dt)
+    traj = evolve_xstate(x0, r, p, *time_grid(args, p.gamma))
     return traj, p
 
 
 def check_trajectory_invariants(traj: Trajectory):
-    for t, x in zip(traj.times, traj.xstates()):
-        try:
-            x.validate(tol=REPORT_TOL)
-        except ValueError as exc:
-            raise InvariantViolation(f"sample at t = {t:.6g} us: {exc}") from exc
+    bad = xstate_violation(traj.states, REPORT_TOL)
+    if bad is not None:
+        k, reason = bad
+        raise InvariantViolation(f"sample at t = {traj.times[k]:.6g} us: {reason}")
 
 
-def trajectory_rows(traj: Trajectory) -> list[list[float]]:
-    rows = []
-    cs = trajectory_concurrences(traj)
-    for t, x, c in zip(traj.times, traj.xstates(), cs):
-        rows.append([t, c, x.a, x.b, x.c, x.d,
-                     x.z.real, x.z.imag, x.w.real, x.w.imag])
-    return rows
+def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
+    """One [t, C, a, b, c, d, re_z, im_z, re_w, im_w] row per sample."""
+    return np.column_stack([traj.times, c, traj.states]).tolist()
 
 
 def cmd_evolve(args, argv) -> int:
@@ -212,8 +211,9 @@ def cmd_evolve(args, argv) -> int:
             os.remove(args.out)
         raise
     check_trajectory_invariants(traj)
-    report = detect_events(traj)
-    rows = trajectory_rows(traj)
+    c = trajectory_concurrences(traj)
+    report = detect_events(traj.times, c)
+    rows = trajectory_rows(traj, c)
     header = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w"
     if args.format == "json":
         payload = {
@@ -237,14 +237,12 @@ def cmd_evolve(args, argv) -> int:
     return EXIT_OK
 
 
-def scan_cell(args, f: float, lambda_ratio: float) -> list:
+def scan_cell(args, f: float, x0: XState, lambda_ratio: float) -> list:
     p = WaveguideParams(gamma=mhz(args.gamma), gamma_nr=mhz(args.gamma_nr),
                         lambda_ratio=lambda_ratio)
-    r = derive_rates(p)
-    t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
-    sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
-    traj = evolve_xstate(initial_xstate(args.state, f), r, p, t_max, sample_dt)
-    rep = detect_events(traj)
+    traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
+    check_trajectory_invariants(traj)
+    rep = detect_events(traj.times, trajectory_concurrences(traj))
     died = 1 if rep.death_times else 0
     revived = 1 if rep.revival_times else 0
     return [fmt(f), fmt(lambda_ratio), str(died), str(revived),
@@ -261,27 +259,18 @@ def cmd_scan(args, argv) -> int:
             raise ValueError
     except ValueError:
         raise UsageError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
-    cells = [(f, lr) for f in fs for lr in ratios]  # f-major order
-    results: list[list | None] = [None] * len(cells)
-    failures = []
-
-    def run(i):
-        f, lr = cells[i]
-        try:
-            results[i] = scan_cell(args, f, lr)
-        except Exception as exc:  # cell failures are marked, scan continues
-            results[i] = [fmt(f), fmt(lr), "", "", "", "", ""]
-            failures.append((f, lr, str(exc)))
-
-    if args.jobs > 1 and cells:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run, range(len(cells))))
-    else:
-        for i in range(len(cells)):
-            run(i)
-
+    x0s = [initial_xstate(args.state, f) for f in fs]  # a bad f is a usage error
     header = "f,lambda_ratio,died,revived,t_death,t_revival,C_final"
-    lines = [header] + [",".join(row) for row in results]
+    lines = [header]
+    failures = []
+    for f, x0 in zip(fs, x0s):  # f-major order
+        for lr in ratios:
+            try:
+                row = scan_cell(args, f, x0, lr)
+            except (IntegrationError, InvariantViolation) as exc:  # marked, scan continues
+                row = [fmt(f), fmt(lr), "", "", "", "", ""]
+                failures.append((f, lr, str(exc)))
+            lines.append(",".join(row))
     write_text(args.out, "\n".join(lines) + "\n")
     for f, lr, msg in failures:
         print(f"scan cell f={f} lambda_ratio={lr} failed: {msg}", file=sys.stderr)
@@ -399,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", choices=("werner", "pw"), default="werner")
     sp.add_argument("--f-range", default="", help="'start:stop:step' (empty for no rows)")
     sp.add_argument("--lambda-ratios", default="", help="comma-separated list")
-    sp.add_argument("--jobs", type=int, default=1)
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -446,10 +434,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args, argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError,) as exc:
+    except ValueError as exc:  # UsageError and invalid values alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationError as exc:

@@ -15,7 +15,6 @@ a hand-transcribed version is kept only as a cross-check
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,19 +57,9 @@ class XState:
     w: complex = 0j
 
     def validate(self, tol: float = STRUCT_TOL) -> "XState":
-        for name in ("a", "b", "c", "d", "z", "w"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"element {name}={getattr(self, name)} is not finite")
-        pops = (self.a, self.b, self.c, self.d)
-        if abs(sum(pops) - 1.0) > tol:
-            raise ValueError(f"populations sum to {sum(pops)}, not 1")
-        for name, v in zip("abcd", pops):
-            if v < -tol or v > 1 + tol:
-                raise ValueError(f"population {name}={v} outside [0, 1]")
-        if abs(self.z) ** 2 > self.b * self.c + tol:
-            raise ValueError("|z|^2 exceeds b*c: inner block not PSD")
-        if abs(self.w) ** 2 > self.a * self.d + tol:
-            raise ValueError("|w|^2 exceeds a*d: outer block not PSD")
+        bad = xstate_violation(self.to_vector(), tol)
+        if bad is not None:
+            raise ValueError(bad[1])
         return self
 
     def to_matrix(self) -> np.ndarray:
@@ -108,12 +97,43 @@ def off_x_leakage(m: np.ndarray) -> float:
     return float(np.max(np.abs(m[mask])))
 
 
+def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str] | None:
+    """(index, reason) of the first row of an (..., 8) X-state array that is
+    not a density matrix, or None.  The reason is the first failing check of:
+    finite elements, unit trace, populations in [0, 1], |z|^2 <= bc, |w|^2 <= ad.
+    """
+    xs = np.reshape(xs, (-1, 8))
+    a, b, c, d, zr, zi, wr, wi = xs.T
+    finite = np.isfinite(xs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = np.column_stack([
+            ~finite[:, :4], ~(finite[:, 4] & finite[:, 5]), ~(finite[:, 6] & finite[:, 7]),
+            np.abs(a + b + c + d - 1.0) > tol, (xs[:, :4] < -tol) | (xs[:, :4] > 1 + tol),
+            np.hypot(zr, zi) ** 2 > b * c + tol, np.hypot(wr, wi) ** 2 > a * d + tol])
+    rows = np.flatnonzero(bad.any(axis=1))
+    if not len(rows):
+        return None
+    k = int(rows[0])
+    x = XState.from_vector(xs[k])
+    pops = (x.a, x.b, x.c, x.d)
+    reasons = [f"element {n}={getattr(x, n)} is not finite" for n in "abcdzw"]
+    reasons.append(f"populations sum to {sum(pops)}, not 1")
+    reasons += [f"population {n}={v} outside [0, 1]" for n, v in zip("abcd", pops)]
+    reasons += ["|z|^2 exceeds b*c: inner block not PSD",
+                "|w|^2 exceeds a*d: outer block not PSD"]
+    return k, reasons[int(np.argmax(bad[k]))]
+
+
 @dataclass
 class Trajectory:
-    """Time-ordered samples of a master-equation propagation run."""
+    """Time-ordered samples of a master-equation propagation run.
+
+    ``states``: (n_t, 8) real X coordinates (:meth:`XState.to_vector`) from
+    :func:`evolve_xstate`, or (n_t, 4, 4) complex matrices from :func:`evolve_full`.
+    """
 
     times: np.ndarray
-    states: list  # list[XState] or list of 4x4 ndarrays
+    states: np.ndarray
     rates: DerivedRates
 
     def __post_init__(self):
@@ -121,12 +141,6 @@ class Trajectory:
             raise ValueError("states and times lengths differ")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly ascending")
-
-    def xstates(self, leak_tol: float | None = None) -> list[XState]:
-        out = []
-        for s in self.states:
-            out.append(s if isinstance(s, XState) else XState.from_matrix(s, leak_tol))
-        return out
 
 
 def xstate_generator_matrix(gen: np.ndarray) -> np.ndarray:
@@ -203,7 +217,7 @@ def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: floa
     rho0 = np.asarray(rho0, dtype=complex)
     times = _sample_times(t_max, sample_dt)
     ys = propagate(gen, rho0.reshape(-1), sample_dt, len(times) - 1)
-    return Trajectory(times=times, states=[y.reshape(4, 4) for y in ys], rates=rates)
+    return Trajectory(times=times, states=ys.reshape(-1, 4, 4), rates=rates)
 
 
 def evolve_xstate(x0: XState, r: DerivedRates, p: WaveguideParams, t_max: float,
@@ -213,7 +227,7 @@ def evolve_xstate(x0: XState, r: DerivedRates, p: WaveguideParams, t_max: float,
     m = xstate_generator_matrix(build_generator(r, p))
     times = _sample_times(t_max, sample_dt)
     ys = propagate(m, x0.to_vector(), sample_dt, len(times) - 1)
-    return Trajectory(times=times, states=[XState.from_vector(y) for y in ys], rates=r)
+    return Trajectory(times=times, states=ys, rates=r)
 
 
 # --- cross-check against the hand-transcribed kinetic equations ----------

@@ -10,9 +10,6 @@ from .linalg import SIGMA_Y, check_density_matrix, tensor
 from .dynamics import Trajectory, XState, evolve_xstate
 from .model import WaveguideParams, derive_rates
 
-#: floating-point noise floor below which concurrence is clamped to zero
-NEG_CLAMP = -1e-9
-
 _YY = tensor(SIGMA_Y, SIGMA_Y)
 
 
@@ -29,22 +26,36 @@ class EsdReport:
     final_concurrence: float = 0.0
 
 
+def _branches(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F = |z| - sqrt(a+ d+), G = |w| - sqrt(b+ c+) over (..., 8), x+ = max(x, 0).
+
+    hypot gives |z| and |w| rounded exactly like Python's ``abs(complex)``.
+    """
+    xs = np.asarray(xs)
+    a, b, c, d = (np.maximum(xs[..., k], 0.0) for k in range(4))
+    f = np.hypot(xs[..., 4], xs[..., 5]) - np.sqrt(a * d)
+    g = np.hypot(xs[..., 6], xs[..., 7]) - np.sqrt(b * c)
+    return f, g
+
+
+def margins(xs: np.ndarray) -> np.ndarray:
+    """Entanglement margin 2*max(F, G) of every X state in an (..., 8) array.
+
+    Unclamped: strictly negative over an interval iff the concurrence is
+    exactly zero there, which makes sudden death decidable at finite times
+    even when the clamped concurrence merely decays asymptotically.
+    """
+    return 2.0 * np.maximum(*_branches(xs))
+
+
 def x_branches(x: XState) -> tuple[float, float]:
     """The two competing branches of the X-state concurrence formula."""
-    f = abs(x.z) - np.sqrt(max(x.a, 0.0) * max(x.d, 0.0))
-    g = abs(x.w) - np.sqrt(max(x.b, 0.0) * max(x.c, 0.0))
-    return float(f), float(g)
+    return tuple(float(v) for v in _branches(x.to_vector()))
 
 
 def entanglement_margin(x: XState) -> float:
-    """2*max(F, G) without the zero clamp.
-
-    Strictly negative over an interval iff the concurrence is exactly zero
-    there, which makes sudden death decidable at finite times even when
-    the clamped concurrence merely decays asymptotically.
-    """
-    f, g = x_branches(x)
-    return 2.0 * max(f, g)
+    """:func:`margins` of one X state."""
+    return float(margins(x.to_vector()))
 
 
 def concurrence_x(x: XState, tol: float = 1e-8) -> float:
@@ -54,10 +65,7 @@ def concurrence_x(x: XState, tol: float = 1e-8) -> float:
     samples, which carry accumulated round-off, still validate.
     """
     x.validate(tol=tol)
-    c = entanglement_margin(x)
-    if c < NEG_CLAMP:
-        c = 0.0
-    return float(min(max(c, 0.0), 1.0))
+    return float(np.clip(margins(x.to_vector()), 0.0, 1.0))
 
 
 def concurrence_wootters(rho: np.ndarray) -> float:
@@ -82,38 +90,31 @@ def pw_concurrence_closed(f: float) -> float:
 
 
 def trajectory_concurrences(traj: Trajectory) -> np.ndarray:
-    return np.array([concurrence_x(x) for x in traj.xstates()])
+    """Concurrence at every sample of an X-manifold trajectory (not validated)."""
+    return np.clip(margins(traj.states), 0.0, 1.0)
 
 
-def detect_events(traj: Trajectory, eps: float = 1e-6, hold: int = 5) -> EsdReport:
+def detect_events(times: np.ndarray, c: np.ndarray, eps: float = 1e-6,
+                  hold: int = 5) -> EsdReport:
     """Locate deaths (C drops to <= eps for >= hold samples) and revivals.
 
-    Event times are refined by linear interpolation of C between the
-    bracketing samples.
+    ``c`` is the concurrence sampled at ``times``.  A death is a run of at
+    least ``hold`` dead samples that follows a live one; it revives at the
+    first live sample after the run.  Event times are refined by linear
+    interpolation of C between the bracketing samples.
     """
-    if len(traj.times) < 2:
+    if len(times) < 2:
         raise ValueError("trajectory needs at least 2 samples")
-    t = np.asarray(traj.times)
-    c = trajectory_concurrences(traj)
-    report = EsdReport(final_concurrence=float(c[-1]))
-    dead = c <= eps
-    alive_seen = bool(not dead[0])
-    in_death = False
-    n = len(c)
-    i = 1
-    while i < n:
-        if not in_death:
-            if alive_seen and dead[i] and not dead[i - 1]:
-                if np.all(dead[i:min(i + hold, n)]) and n - i >= hold:
-                    report.death_times.append(_cross_time(t, c, i - 1, eps))
-                    in_death = True
-            alive_seen = alive_seen or not dead[i]
-        else:
-            if not dead[i]:
-                report.revival_times.append(_cross_time(t, c, i - 1, eps))
-                in_death = False
-        i += 1
-    return report
+    t, c, n = np.asarray(times), np.asarray(c), len(c)
+    step = np.diff((c <= eps).astype(np.int8))
+    starts = np.flatnonzero(step == 1) + 1  # first dead sample of a run
+    ends = np.append(np.flatnonzero(step == -1) + 1, n)  # first live one after it
+    stops = ends[np.searchsorted(ends, starts)]
+    held = stops - starts >= hold
+    return EsdReport(
+        death_times=[_cross_time(t, c, i - 1, eps) for i in starts[held]],
+        revival_times=[_cross_time(t, c, i - 1, eps) for i in stops[held] if i < n],
+        final_concurrence=float(c[-1]))
 
 
 def _cross_time(t, c, i, eps):
@@ -132,7 +133,7 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
     """Boundary fidelity below which the trajectory exhibits sudden death.
 
     Bisection over f with the propagated trajectory as oracle; the ESD
-    predicate uses the unclamped margin (see :func:`entanglement_margin`).
+    predicate uses the unclamped margin (see :func:`margins`).
     Monotonicity over the bracket is verified on a coarse grid first.
     """
     if tol <= 0:
@@ -153,8 +154,7 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
 
     def has_esd(f: float) -> bool:
         traj = evolve_xstate(make(f), r, pr, t_max, dt)
-        margins = [entanglement_margin(x) for x in traj.xstates()]
-        return min(margins) < -1e-8
+        return margins(traj.states).min() < -1e-8
 
     grid = np.linspace(lo, hi, 9)
     flags = [has_esd(f) for f in grid]

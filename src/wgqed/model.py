@@ -142,13 +142,3 @@ def apply_generator(gen: np.ndarray, rho: np.ndarray) -> np.ndarray:
     dim = rho.shape[0]
     return (gen @ rho.reshape(-1)).reshape(dim, dim)
 
-
-def dissipation_min_eigval(r: DerivedRates) -> float:
-    """Smallest eigenvalue of the 2x2 decay-rate matrix.
-
-    Negative values signal that the collective rate exceeds the geometric
-    mean of the individual rates (the generator is then not completely
-    positive).  Diagnostic only: callers may log, never assert.
-    """
-    m = np.array([[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]])
-    return float(np.linalg.eigvalsh(m).min())

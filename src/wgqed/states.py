@@ -10,6 +10,7 @@ import numpy as np
 from .linalg import (
     I2,
     SIGMA_MINUS,
+    STRUCT_TOL,
     SIGMA_X,
     XY_EXCHANGE,
     check_density_matrix,
@@ -24,10 +25,15 @@ from .model import lindblad_generator, mhz
 WAIT_CAP_US = 1e4
 
 
+def _check_werner_f(f: float):
+    # STRUCT_TOL admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
+    if not 0.25 - STRUCT_TOL <= f <= 1.0 + STRUCT_TOL:
+        raise ValueError(f"werner fidelity must be in [0.25, 1], got {f}")
+
+
 def werner(f: float) -> np.ndarray:
     """Mixture of the Bell singlet with the maximally mixed state."""
-    if not 0.25 <= f <= 1.0:
-        raise ValueError(f"werner fidelity must be in [0.25, 1], got {f}")
+    _check_werner_f(f)
     singlet = np.zeros(4, dtype=complex)
     singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     rho = (1 - f) / 3 * np.eye(4, dtype=complex) \
@@ -36,6 +42,7 @@ def werner(f: float) -> np.ndarray:
 
 
 def werner_xstate(f: float) -> XState:
+    _check_werner_f(f)
     return XState(a=(1 - f) / 3, b=(1 + 2 * f) / 6, c=(1 + 2 * f) / 6,
                   d=(1 - f) / 3, z=complex((1 - 4 * f) / 6), w=0j)
 

@@ -29,6 +29,7 @@ from wgqed import (
 )
 from wgqed.cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
 from wgqed.dynamics import XState, off_x_leakage, random_xstate
+from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, build_generator
 from wgqed.states import PrepConfig, RabiConfig
 
@@ -144,13 +145,17 @@ def test_criterion_05_fast_path_equivalence(criterion_log):
             full = evolve_full(x0.to_matrix(), gen, 0.5, 0.005, rates=r)
             X_TRAJS.append(fast)
             FULL_TRAJS.append(full)
-            gap = max(np.max(np.abs(m - x.to_matrix()))
-                      for m, x in zip(full.states, fast.xstates()))
+            gap = max(np.max(np.abs(m - XState.from_vector(x).to_matrix()))
+                      for m, x in zip(full.states, fast.states))
             worst = max(worst, float(gap))
     _verdict(criterion_log, 5,
              "reduced X-manifold integration matches the full master "
              "equation within 1e-8 (20 random states x 4 ratios)",
              worst <= 1e-8, f"worst max-norm gap {worst:.3g}")
+
+
+def _events(traj):
+    return detect_events(traj.times, trajectory_concurrences(traj))
 
 
 def test_criterion_06_esd_revival_pattern(criterion_log):
@@ -163,7 +168,7 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     for f in np.arange(0.3, 1.001, 0.1):
         traj = evolve_xstate(werner_xstate(float(f)), r2, p2, t_max, t_max / 1500)
         X_TRAJS.append(traj)
-        if detect_events(traj).revival_times:
+        if _events(traj).revival_times:
             failures.append(f"revival at ratio 2, f={f:.1f}")
 
     # ratios 1.5 and 1.3: Werner f = 0.9 dies and then revives
@@ -172,7 +177,7 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
         r = derive_rates(p)
         traj = evolve_xstate(werner_xstate(0.9), r, p, 2.0, 2.0 / 2000)
         X_TRAJS.append(traj)
-        rep = detect_events(traj)
+        rep = _events(traj)
         if not (rep.death_times and rep.revival_times
                 and rep.revival_times[0] > rep.death_times[0]):
             failures.append(f"no death-then-revival at ratio {ratio}: {rep}")
@@ -183,7 +188,7 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     r = derive_rates(p)
     traj = evolve_xstate(pw_xstate(0.9), r, p, 2.0, 2.0 / 2000)
     X_TRAJS.append(traj)
-    rep = detect_events(traj)
+    rep = _events(traj)
     if not (rep.death_times and rep.revival_times
             and rep.revival_times[0] > rep.death_times[0]
             and len(rep.death_times) >= 2
@@ -265,8 +270,8 @@ def test_criterion_10_structural_invariants(criterion_log):
     assert X_TRAJS and FULL_TRAJS, "earlier criteria must register trajectories"
     worst_trace, worst_eig, worst_leak = 0.0, 0.0, 0.0
     for traj in X_TRAJS:
-        for x in traj.xstates():
-            m = x.to_matrix()
+        for x in traj.states:
+            m = XState.from_vector(x).to_matrix()
             worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(m).min()))
     for traj in FULL_TRAJS:

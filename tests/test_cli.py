@@ -6,8 +6,19 @@ import time
 import numpy as np
 import pytest
 
-from wgqed.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_range
-from wgqed.dynamics import MAX_SAMPLES
+import wgqed.cli
+from wgqed.cli import (
+    EXIT_INVARIANT,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    InvariantViolation,
+    check_trajectory_invariants,
+    main,
+    parse_range,
+    trajectory_rows,
+)
+from wgqed.dynamics import MAX_SAMPLES, Trajectory, XState, evolve_xstate
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
 
 
@@ -98,14 +109,6 @@ class TestScan:
         cells = [line.split(",")[:2] for line in lines[1:]]
         assert cells == [["0.8", "1.5"], ["0.8", "2"], ["0.9", "1.5"], ["0.9", "2"]]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        common = ["scan", "--f-range", "0.7:0.9:0.1", "--lambda-ratios",
-                  "1.3,1.5", "--t-max", "0.4", "--sample-dt", "0.01"]
-        main(common + ["--out", str(serial)])
-        main(common + ["--jobs", "4", "--out", str(parallel)])
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_bad_ratio_list(self, capsys):
         assert main(["scan", "--f-range", "0.8", "--lambda-ratios", "x"]) == EXIT_USAGE
 
@@ -183,6 +186,14 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_removed_jobs_key_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text("[run]\njobs = 4\n")
+        code = main(["scan", "--f-range", "0.9", "--lambda-ratios", "1.5",
+                     "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         code = main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5",
                      "--config", str(tmp_path / "missing.ini")])
@@ -208,6 +219,11 @@ class TestExitCodes:
         (["scan", "--f-range", "0.9", "--lambda-ratios", "1.5,nan"], "lambda-ratio"),
         (["scan", "--f-range", "nan", "--lambda-ratios", "1.5"], "range"),
         (["rates", "--range", "1:inf:0.5"], "range"),
+        (["scan", "--state", "pw", "--f-range", "1.2", "--lambda-ratios", "1.5"],
+         "pseudo-Werner fidelity"),
+        (["evolve", "--f", "5", "--lambda-ratio", "1.5"], "werner fidelity"),
+        (["evolve", "--f", "0.1", "--lambda-ratio", "1.5"], "werner fidelity"),
+        (["scan", "--f-range", "0.9", "--lambda-ratios", "1.5,-1"], "lambda_ratio"),
     ])
     def test_bad_input_is_usage_error(self, argv, field, capsys):
         assert main(argv) == EXIT_USAGE
@@ -232,3 +248,36 @@ class TestExitCodes:
     def test_out_of_range_fidelity(self, capsys):
         assert main(["evolve", "--state", "pw", "--f", "1.5",
                      "--lambda-ratio", "1.5"]) == EXIT_USAGE
+
+    def test_bad_sample_is_invariant_violation(self, monkeypatch, tmp_path, capsys):
+        # a propagator fault that leaves one sample outside the state space
+        def faulty_evolve(*args):
+            traj = evolve_xstate(*args)
+            traj.states[7, 1] = 1.5
+            return traj
+
+        monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
+        code = main(self.EVOLVE + ["--t-max", "0.5", "--sample-dt", "0.01",
+                                   "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INVARIANT
+        assert "sample at t = 0.07 us: populations sum to" in capsys.readouterr().err
+
+
+class TestCheckTrajectoryInvariants:
+    def test_names_the_time_of_the_bad_row(self):
+        times = np.linspace(0.0, 0.9, 10)
+        states = np.tile(XState(a=0.4, b=0.3, c=0.2, d=0.1).to_vector(), (10, 1))
+        check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
+        states[6, :4] = [0.3, 1.2, -0.5, 0.0]  # unit trace, b and c out of range
+        with pytest.raises(InvariantViolation,
+                           match=r"^sample at t = 0\.6 us: population b=1\.2 outside \[0, 1\]$"):
+            check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
+
+
+def test_trajectory_rows_follow_the_header():
+    x = XState(a=0.4, b=0.3, c=0.2, d=0.1, z=0.01 - 0.02j, w=0.03 + 0.04j)
+    traj = Trajectory(times=np.array([0.0, 0.5]), states=np.array([x.to_vector()] * 2),
+                      rates=None)
+    rows = trajectory_rows(traj, np.array([0.7, 0.6]))
+    assert rows[1] == [0.5, 0.6, 0.4, 0.3, 0.2, 0.1, 0.01, -0.02, 0.03, 0.04]
+    assert all(type(v) is float for v in rows[1])

@@ -25,6 +25,7 @@ from wgqed.dynamics import (
     random_xstate,
     xstate_generator_matrix,
     xstate_rhs,
+    xstate_violation,
 )
 from wgqed.model import WaveguideParams, apply_generator, build_generator, derive_rates, mhz
 
@@ -81,6 +82,16 @@ class TestXState:
         with pytest.raises(ValueError, match=f"element {field}=.* is not finite"):
             replace(x, **{field: bad}).validate()
 
+    def test_violation_names_first_bad_row_and_condition(self):
+        rng = np.random.default_rng(4)
+        xs = np.array([random_xstate(rng).to_vector() for _ in range(6)])
+        assert xstate_violation(xs) is None
+        xs[4, 1] += 0.5  # trace and population b; trace is checked first
+        xs[2, 4] = np.inf
+        assert xstate_violation(xs) == (2, f"element z={complex(np.inf, xs[2, 5])} is not finite")
+        assert xstate_violation(xs[3:]) == (1, f"populations sum to {sum(xs[4, :4].tolist())}, "
+                                               "not 1")
+
     def test_from_matrix_leakage_guard(self):
         m = XState(a=0.4, b=0.3, c=0.2, d=0.1).to_matrix()
         m[0, 1] = 1e-3
@@ -91,12 +102,12 @@ class TestXState:
 class TestTrajectory:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            Trajectory(times=np.array([0.0, 1.0]), states=[], rates=None)
+            Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((0, 8)), rates=None)
 
     def test_non_monotone_times(self):
-        x = XState(a=1.0, b=0.0, c=0.0, d=0.0)
+        x = XState(a=1.0, b=0.0, c=0.0, d=0.0).to_vector()
         with pytest.raises(ValueError, match="ascending"):
-            Trajectory(times=np.array([0.0, 0.0]), states=[x, x], rates=None)
+            Trajectory(times=np.array([0.0, 0.0]), states=np.array([x, x]), rates=None)
 
 
 class TestReducedGenerator:
@@ -130,8 +141,9 @@ class TestEvolution:
         r = derive_rates(p)
         x0 = XState(a=0.1, b=0.3, c=0.2, d=0.4, z=0.1 - 0.05j, w=0.08j)
         traj = evolve_xstate(x0, r, p, 5.0, 0.05)
+        assert traj.states.shape == (101, 8)
         ga, gb = r.gamma_a, r.gamma_b
-        for t, x in zip(traj.times, traj.xstates()):
+        for t, got in zip(traj.times, traj.states):
             ea, eb = np.exp(-ga * t), np.exp(-gb * t)
             d = x0.d * ea * eb
             b = x0.b * ea + x0.d * ea * (1 - eb)
@@ -139,7 +151,6 @@ class TestEvolution:
             a = 1.0 - b - c - d
             z = x0.z * np.exp(-(ga + gb) * t / 2)
             w = x0.w * np.exp(-(ga + gb) * t / 2)
-            got = x.to_vector()
             want = XState(a=a, b=b, c=c, d=d, z=z, w=w).to_vector()
             assert np.max(np.abs(got - want)) < 1e-9
 
@@ -151,9 +162,9 @@ class TestEvolution:
         r = derive_rates(p)
         x0 = XState(a=0.0, b=1.0, c=0.0, d=0.0)
         traj = evolve_xstate(x0, r, p, 1.0, 0.01)
-        for t, x in zip(traj.times, traj.xstates()):
-            assert x.b == pytest.approx(np.cos(g0 * t) ** 2, abs=1e-8)
-            assert x.c == pytest.approx(np.sin(g0 * t) ** 2, abs=1e-8)
+        for t, (b, c) in zip(traj.times, traj.states[:, 1:3]):
+            assert b == pytest.approx(np.cos(g0 * t) ** 2, abs=1e-8)
+            assert c == pytest.approx(np.sin(g0 * t) ** 2, abs=1e-8)
 
     def test_full_and_reduced_paths_agree(self):
         p = params(1.3)
@@ -162,8 +173,9 @@ class TestEvolution:
         x0 = random_xstate(np.random.default_rng(42))
         fast = evolve_xstate(x0, r, p, 0.4, 0.004)
         full = evolve_full(x0.to_matrix(), gen, 0.4, 0.004, rates=r)
-        gap = max(np.max(np.abs(m - x.to_matrix()))
-                  for m, x in zip(full.states, fast.xstates()))
+        assert full.states.shape == (101, 4, 4)
+        gap = max(np.max(np.abs(m - XState.from_vector(x).to_matrix()))
+                  for m, x in zip(full.states, fast.states))
         assert gap < 1e-9
 
     def test_rejects_bad_time_grid(self):

@@ -1,7 +1,11 @@
 """Unit tests for concurrence formulas and sudden-death detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgqed.dynamics import Trajectory, XState, random_xstate
 from wgqed.entangle import (
@@ -11,6 +15,7 @@ from wgqed.entangle import (
     detect_events,
     entanglement_margin,
     esd_threshold,
+    margins,
     pw_concurrence_closed,
     trajectory_concurrences,
     x_branches,
@@ -56,6 +61,28 @@ class TestConcurrenceX:
             concurrence_x(XState(a=0.5, b=0.5, c=0.5, d=0.5))
 
 
+class TestMargins:
+    @staticmethod
+    def _margin_loop(x):
+        # closed form, one row at a time with Python scalars
+        f = abs(complex(x[4], x[5])) - math.sqrt(max(x[0], 0.0) * max(x[3], 0.0))
+        g = abs(complex(x[6], x[7])) - math.sqrt(max(x[1], 0.0) * max(x[2], 0.0))
+        return 2.0 * max(f, g)
+
+    def test_matches_scalar_loop_exactly(self):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.normal(size=(5000, 8)),
+                             np.array([random_xstate(rng).to_vector() for _ in range(5000)])])
+        got = margins(xs)
+        assert got.shape == (10000,)
+        want = np.array([self._margin_loop(x.tolist()) for x in xs])
+        assert np.array_equal(got, want)
+
+    def test_leading_axes(self):
+        xs = np.random.default_rng(5).normal(size=(3, 4, 8))
+        assert np.array_equal(margins(xs), margins(xs.reshape(12, 8)).reshape(3, 4))
+
+
 class TestConcurrenceWootters:
     def test_bell_state(self):
         psi = np.zeros(4, dtype=complex)
@@ -94,16 +121,20 @@ class TestPwClosedForm:
 
 class TestDetectEvents:
     @staticmethod
-    def _werner_trajectory(f_of_t, times):
-        states = [werner_xstate(float(f_of_t(t))) for t in times]
-        return Trajectory(times=times, states=states, rates=None)
+    def _werner_events(f_of_t, times):
+        # Werner X vectors in closed form; f may leave the family's domain
+        f = np.broadcast_to(f_of_t(times), times.shape)
+        pop_a, pop_b = (1 - f) / 3, (1 + 2 * f) / 6
+        zero = np.zeros_like(f)
+        states = np.column_stack([pop_a, pop_b, pop_b, pop_a, (1 - 4 * f) / 6,
+                                  zero, zero, zero])
+        traj = Trajectory(times=times, states=states, rates=None)
+        return detect_events(times, trajectory_concurrences(traj))
 
     def test_death_and_revival_times(self):
         # concurrence max(0, 0.6 cos(2 pi t)): dead on (0.25, 0.75)
         times = np.linspace(0.0, 1.0, 401)
-        traj = self._werner_trajectory(
-            lambda t: 0.5 + 0.3 * np.cos(2 * np.pi * t), times)
-        rep = detect_events(traj)
+        rep = self._werner_events(lambda t: 0.5 + 0.3 * np.cos(2 * np.pi * t), times)
         assert len(rep.death_times) == 1 and len(rep.revival_times) == 1
         assert rep.death_times[0] == pytest.approx(0.25, abs=0.01)
         assert rep.revival_times[0] == pytest.approx(0.75, abs=0.01)
@@ -111,27 +142,65 @@ class TestDetectEvents:
 
     def test_monotone_decay_has_no_revival(self):
         times = np.linspace(0.0, 1.0, 201)
-        traj = self._werner_trajectory(lambda t: 0.9 - 0.5 * t, times)
-        rep = detect_events(traj)
+        rep = self._werner_events(lambda t: 0.9 - 0.5 * t, times)
         assert len(rep.death_times) == 1 and not rep.revival_times
 
     def test_never_entangled_reports_nothing(self):
         times = np.linspace(0.0, 1.0, 101)
-        traj = self._werner_trajectory(lambda t: 0.4, times)
-        rep = detect_events(traj)
+        rep = self._werner_events(lambda t: 0.4, times)
         assert not rep.death_times and not rep.revival_times
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
-            detect_events(Trajectory(times=np.array([0.0]),
-                                     states=[werner_xstate(0.9)], rates=None))
+            detect_events(np.array([0.0]), np.array([0.8]))
 
     def test_trajectory_concurrences_shape(self):
         times = np.linspace(0.0, 1.0, 11)
-        traj = self._werner_trajectory(lambda t: 0.9, times)
-        cs = trajectory_concurrences(traj)
+        states = np.tile(werner_xstate(0.9).to_vector(), (11, 1))
+        cs = trajectory_concurrences(Trajectory(times=times, states=states, rates=None))
         assert cs.shape == (11,)
         assert np.allclose(cs, 0.8)
+
+    @staticmethod
+    def _events_loop(t, c, eps=1e-6, hold=5):
+        # sample-by-sample state machine: deaths need a live sample before
+        # and hold dead samples from the drop on; revival at the next live one
+        def cross(i):
+            c0, c1 = c[i], c[i + 1]
+            if c1 == c0:
+                return float(t[i + 1])
+            return float(t[i] + min(max((c0 - eps) / (c0 - c1), 0.0), 1.0) * (t[i + 1] - t[i]))
+
+        deaths, revivals = [], []
+        dead = c <= eps
+        alive_seen, in_death, n = not dead[0], False, len(c)
+        for i in range(1, n):
+            if not in_death:
+                if (alive_seen and dead[i] and not dead[i - 1]
+                        and np.all(dead[i:min(i + hold, n)]) and n - i >= hold):
+                    deaths.append(cross(i - 1))
+                    in_death = True
+                alive_seen = alive_seen or not dead[i]
+            elif not dead[i]:
+                revivals.append(cross(i - 1))
+                in_death = False
+        return deaths, revivals
+
+    @settings(max_examples=200, deadline=None)
+    @given(pattern=st.lists(st.tuples(st.booleans(), st.integers(1, 8)), min_size=1,
+                            max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sample_loop(self, pattern, seed):
+        # runs of live (C > eps) and dead (C <= eps, exactly eps included) samples
+        rng = np.random.default_rng(seed)
+        c = np.concatenate([rng.uniform(2e-6, 1.0, n) if live
+                            else rng.choice([0.0, 1e-6, 5e-7], n) for live, n in pattern])
+        if len(c) < 2:
+            c = np.append(c, 0.5)
+        t = np.cumsum(rng.uniform(0.01, 0.1, len(c)))
+        rep = detect_events(t, c)
+        assert (rep.death_times, rep.revival_times) == self._events_loop(t, c)
+        assert rep.final_concurrence == c[-1]
 
 
 class TestEsdThreshold:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgqed.dynamics import random_xstate, off_x_leakage
 from wgqed.model import (
@@ -11,7 +13,6 @@ from wgqed.model import (
     build_generator,
     build_hamiltonian,
     derive_rates,
-    dissipation_min_eigval,
     lindblad_generator,
     mhz,
 )
@@ -144,11 +145,28 @@ class TestGenerator:
         assert out[0, 0] == pytest.approx(rate * 0.75)
 
 
+def min_rate_eigval(r):
+    """Smallest eigenvalue of [[Gamma_a, Gamma_col], [Gamma_col, Gamma_b]]."""
+    rates = np.array([[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]])
+    return np.linalg.eigvalsh(rates).min()
+
+
 class TestDissipationDiagnostic:
     def test_positive_when_collective_vanishes(self):
-        assert dissipation_min_eigval(derive_rates(params(2.0))) == pytest.approx(GAMMA_NR)
+        assert min_rate_eigval(derive_rates(params(2.0))) == pytest.approx(GAMMA_NR)
 
     def test_reports_near_singular_collective_point(self):
         # at ratio 1.5 the collective rate nearly saturates the bound
-        v = dissipation_min_eigval(derive_rates(params(1.5)))
+        v = min_rate_eigval(derive_rates(params(1.5)))
         assert 0 < v < GAMMA
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(mhz(0.1), mhz(10.0)), gamma_nr=st.floats(0.0, mhz(1.0)),
+           ratio=st.floats(0.5, 10.0))
+    def test_min_eigval_at_least_intrinsic_rate(self, gamma, gamma_nr, ratio):
+        # the rate matrix stays PSD (the generator is completely positive)
+        # with gamma_nr to spare.  gamma starts at 0.1 MHz so that
+        # eigvalsh's round-off, ~1e-16 of the largest rate, stays far
+        # inside the 1e-9 * gamma allowance.
+        r = derive_rates(WaveguideParams(gamma=gamma, gamma_nr=gamma_nr, lambda_ratio=ratio))
+        assert min_rate_eigval(r) >= gamma_nr - 1e-9 * gamma

@@ -37,10 +37,11 @@ class TestWerner:
         np.testing.assert_allclose(rho, np.outer(psi, psi), atol=1e-14)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            werner(0.2)
-        with pytest.raises(ValueError):
-            werner(1.1)
+        for make in (werner, werner_xstate):
+            for f in (0.2, 1.1, 5.0):
+                with pytest.raises(ValueError, match=r"werner fidelity must be in \[0.25, 1\]"):
+                    make(f)
+            make(np.arange(0.3, 1.001, 0.1)[-1])  # 1 + 2e-16: grid round-off is admitted
 
 
 class TestPseudoWerner:
