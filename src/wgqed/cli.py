@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -53,12 +54,11 @@ class UsageError(ValueError):
     pass
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def parse_range(spec: str) -> np.ndarray:
-    """Parse 'start:stop:step' into an inclusive grid; 'x' alone is a single point."""
+    """Parse 'start:stop:step' into a grid from start up to stop; 'x' alone is a single point.
+
+    stop is included when the span is a whole number of steps, up to round-off.
+    """
     try:
         values = [float(p) for p in spec.split(":")]
         if not all(map(math.isfinite, values)):
@@ -69,18 +69,43 @@ def parse_range(spec: str) -> np.ndarray:
             start, stop, step = values
             if step <= 0 or stop < start:
                 raise ValueError
-            n = int(round((stop - start) / step))
+            # 1e-9 of a step absorbs round-off: (1.0 - 0.3) / 0.05 = 13.999999999999998
+            n = int((stop - start) / step + 1e-9)
             return start + step * np.arange(n + 1)
     except ValueError:
         pass
     raise UsageError(f"malformed range {spec!r}, expected 'start:stop:step' or a number")
 
 
-def write_text(path: str | None, text: str):
-    if path is None:
+def csv_line(row) -> str:
+    """One CSV line: numbers at 12 significant digits, None as an empty field."""
+    if None in row:
+        return ",".join("" if v is None else "%.12g" % v for v in row)
+    return ",".join(["%.12g"] * len(row)) % tuple(row)
+
+
+def settings(args: argparse.Namespace) -> dict:
+    """Every parsed setting of the subcommand: the keys a config file may hold."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
+
+
+def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
+    """Write a result to --out, or stdout.
+
+    JSON, for --format json or a result with no table, is
+    {"generated_by", "config", **fields}, where config holds every setting but
+    --out and --format.  CSV is the columns, then one line per row.
+    """
+    if columns is None or args.format == "json":
+        config = {k: v for k, v in settings(args).items() if k not in ("out", "format")}
+        payload = {"generated_by": GENERATED_BY, "config": config, **fields}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join([",".join(columns)] + [csv_line(row) for row in rows]) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -116,17 +141,13 @@ def apply_config(args: argparse.Namespace, argv: list[str], known: set[str]):
                 setattr(args, key, value)
 
 
-def effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 # --- subcommand implementations ------------------------------------------
 
-def make_params(args) -> WaveguideParams:
+def make_params(args, lambda_ratio: float) -> WaveguideParams:
     return WaveguideParams(
         gamma=mhz(args.gamma),
         gamma_nr=mhz(args.gamma_nr),
-        lambda_ratio=args.lambda_ratio,
+        lambda_ratio=lambda_ratio,
         delta_bare=mhz(getattr(args, "delta_bare", 0.0)),
         g=mhz(getattr(args, "g", 0.0)),
     )
@@ -140,29 +161,17 @@ def initial_xstate(state: str, f: float) -> XState:
     raise UsageError(f"unknown state family {state!r}")
 
 
-def rates_row(lambda_ratio: float, gamma: float, gamma_nr: float) -> list[float]:
-    p = WaveguideParams(gamma=mhz(gamma), gamma_nr=mhz(gamma_nr), lambda_ratio=lambda_ratio)
-    r = derive_rates(p)
+def rates_row(args, lambda_ratio: float) -> list[float]:
+    r = derive_rates(make_params(args, lambda_ratio))
     return [lambda_ratio, r.phi, r.gamma_a / TWO_PI, r.gamma_b / TWO_PI,
             r.gamma_col / TWO_PI, r.g_x / TWO_PI, r.d_omega1 / TWO_PI, r.d_omega2 / TWO_PI]
 
 
-def cmd_rates(args, argv) -> int:
-    grid = parse_range(args.range)
-    header = ("lambda_ratio,phi_rad,Gamma_a_MHz,Gamma_b_MHz,Gamma_col_MHz,"
-              "g_x_MHz,d_omega1_MHz,d_omega2_MHz")
-    rows = [rates_row(lr, args.gamma, args.gamma_nr) for lr in grid]
-    if args.format == "json":
-        payload = {
-            "generated_by": GENERATED_BY,
-            "config": effective_config(args, ["range", "gamma", "gamma_nr"]),
-            "columns": header.split(","),
-            "rows": rows,
-        }
-        write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [header] + [",".join(fmt(v) for v in row) for row in rows]
-        write_text(args.out, "\n".join(lines) + "\n")
+def cmd_rates(args) -> int:
+    columns = ("lambda_ratio,phi_rad,Gamma_a_MHz,Gamma_b_MHz,Gamma_col_MHz,"
+               "g_x_MHz,d_omega1_MHz,d_omega2_MHz").split(",")
+    rows = [rates_row(args, lr) for lr in parse_range(args.range)]
+    emit(args, {"columns": columns, "rows": rows}, columns, rows)
     return EXIT_OK
 
 
@@ -183,12 +192,10 @@ def time_grid(args, gamma: float) -> tuple[float, float]:
     return t_max, sample_dt
 
 
-def run_trajectory(args) -> tuple[Trajectory, WaveguideParams]:
-    p = make_params(args)
-    r = derive_rates(p)
+def run_trajectory(args) -> Trajectory:
+    p = make_params(args, args.lambda_ratio)
     x0 = initial_xstate(args.state, args.f)
-    traj = evolve_xstate(x0, r, p, *time_grid(args, p.gamma))
-    return traj, p
+    return evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
 
 
 def check_trajectory_invariants(traj: Trajectory):
@@ -203,9 +210,9 @@ def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
     return np.column_stack([traj.times, c, traj.states]).tolist()
 
 
-def cmd_evolve(args, argv) -> int:
+def cmd_evolve(args) -> int:
     try:
-        traj, p = run_trajectory(args)
+        traj = run_trajectory(args)
     except IntegrationError:
         if args.out and os.path.exists(args.out):
             os.remove(args.out)
@@ -214,44 +221,33 @@ def cmd_evolve(args, argv) -> int:
     c = trajectory_concurrences(traj)
     report = detect_events(traj.times, c)
     rows = trajectory_rows(traj, c)
-    header = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w"
-    if args.format == "json":
-        payload = {
-            "generated_by": GENERATED_BY,
-            "config": effective_config(
-                args, ["state", "f", "lambda_ratio", "gamma", "gamma_nr",
-                       "delta_bare", "g", "t_max", "sample_dt"]),
-            "rates": rates_dict(traj.rates),
-            "esd": {
-                "death_times_us": report.death_times,
-                "revival_times_us": report.revival_times,
-                "final_concurrence": report.final_concurrence,
-            },
-            "columns": header.split(","),
-            "samples": rows,
-        }
-        write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [header] + [",".join(fmt(v) for v in row) for row in rows]
-        write_text(args.out, "\n".join(lines) + "\n")
+    columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
+    emit(args, {
+        "rates": rates_dict(traj.rates),
+        "esd": {
+            "death_times_us": report.death_times,
+            "revival_times_us": report.revival_times,
+            "final_concurrence": report.final_concurrence,
+        },
+        "columns": columns,
+        "samples": rows,
+    }, columns, rows)
     return EXIT_OK
 
 
 def scan_cell(args, f: float, x0: XState, lambda_ratio: float) -> list:
-    p = WaveguideParams(gamma=mhz(args.gamma), gamma_nr=mhz(args.gamma_nr),
-                        lambda_ratio=lambda_ratio)
+    """[f, lambda_ratio, died, revived, t_death, t_revival, C_final]; None for no event."""
+    p = make_params(args, lambda_ratio)
     traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
     check_trajectory_invariants(traj)
     rep = detect_events(traj.times, trajectory_concurrences(traj))
-    died = 1 if rep.death_times else 0
-    revived = 1 if rep.revival_times else 0
-    return [fmt(f), fmt(lambda_ratio), str(died), str(revived),
-            fmt(rep.death_times[0]) if rep.death_times else "",
-            fmt(rep.revival_times[0]) if rep.revival_times else "",
-            fmt(rep.final_concurrence)]
+    return [f, lambda_ratio, 1 if rep.death_times else 0, 1 if rep.revival_times else 0,
+            rep.death_times[0] if rep.death_times else None,
+            rep.revival_times[0] if rep.revival_times else None,
+            rep.final_concurrence]
 
 
-def cmd_scan(args, argv) -> int:
+def cmd_scan(args) -> int:
     fs = parse_range(args.f_range) if args.f_range else np.array([])
     try:
         ratios = [float(s) for s in args.lambda_ratios.split(",")] if args.lambda_ratios else []
@@ -260,18 +256,17 @@ def cmd_scan(args, argv) -> int:
     except ValueError:
         raise UsageError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
     x0s = [initial_xstate(args.state, f) for f in fs]  # a bad f is a usage error
-    header = "f,lambda_ratio,died,revived,t_death,t_revival,C_final"
-    lines = [header]
+    rows = []
     failures = []
     for f, x0 in zip(fs, x0s):  # f-major order
         for lr in ratios:
             try:
-                row = scan_cell(args, f, x0, lr)
+                rows.append(scan_cell(args, f, x0, lr))
             except (IntegrationError, InvariantViolation) as exc:  # marked, scan continues
-                row = [fmt(f), fmt(lr), "", "", "", "", ""]
+                rows.append([f, lr] + [None] * 5)
                 failures.append((f, lr, str(exc)))
-            lines.append(",".join(row))
-    write_text(args.out, "\n".join(lines) + "\n")
+    columns = "f,lambda_ratio,died,revived,t_death,t_revival,C_final".split(",")
+    emit(args, {"columns": columns, "rows": rows}, columns, rows)
     for f, lr, msg in failures:
         print(f"scan cell f={f} lambda_ratio={lr} failed: {msg}", file=sys.stderr)
     return EXIT_NUMERICAL if failures else EXIT_OK
@@ -281,57 +276,42 @@ def matrix_payload(m: np.ndarray) -> dict:
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
-def cmd_prepare(args, argv) -> int:
+def cmd_prepare(args) -> int:
     cfg = PrepConfig(f=args.f, with_dissipation=args.dissipative,
                      g_strength=mhz(args.g), g_bc_strength=mhz(args.g_bc),
                      gamma_nr=mhz(args.gamma_nr))
     res = prepare_pw(cfg)
-    target = pseudo_werner(args.f)
-    payload = {
-        "generated_by": GENERATED_BY,
-        "config": effective_config(args, ["f", "dissipative", "g", "g_bc", "gamma_nr"]),
+    fields = {
         "rho1": matrix_payload(res.rho1),
         "rho2": matrix_payload(res.rho2),
         "rho3": matrix_payload(res.rho3),
         "rho_out": matrix_payload(res.rho_out),
-        "fidelity_to_target": fidelity(res.rho_out, target),
+        "fidelity_to_target": fidelity(res.rho_out, pseudo_werner(args.f)),
     }
     if res.gate_durations_us is not None:
-        payload["gate_durations_us"] = list(res.gate_durations_us)
-    write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fields["gate_durations_us"] = list(res.gate_durations_us)
+    emit(args, fields)
     return EXIT_OK
 
 
-def cmd_mix(args, argv) -> int:
+def cmd_mix(args) -> int:
     cfg = RabiConfig(omega=mhz(args.omega), gamma_nr=mhz(args.gamma_nr),
                      pulse_duration=args.pulse, wait_duration=args.wait,
                      final_flip=args.flip, sample_dt=args.sample_dt)
     res = mixed_qubit(cfg)
-    if args.format == "json":
-        payload = {
-            "generated_by": GENERATED_BY,
-            "config": effective_config(args, ["omega", "gamma_nr", "pulse", "wait", "flip"]),
-            "f_achieved": res.f_achieved,
-            "columns": ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"],
-            "samples": [[t, gg, ee, eg] for t, gg, ee, eg in
-                        zip(res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg)],
-        }
-        write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = ["t_us,rho_gg,rho_ee,abs_rho_eg"]
-        for t, gg, ee, eg in zip(res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg):
-            lines.append(",".join(fmt(v) for v in (t, gg, ee, eg)))
-        write_text(args.out, "\n".join(lines) + "\n")
-        print(f"f_achieved = {fmt(res.f_achieved)}")
+    columns = ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
+    rows = list(zip(res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg))
+    emit(args, {"f_achieved": res.f_achieved, "columns": columns, "samples": rows},
+         columns, rows)
+    if args.format == "csv" and args.out:  # stdout stays one CSV table
+        print(f"f_achieved = {res.f_achieved:.12g}")
     return EXIT_OK
 
 
-def cmd_cpw(args, argv) -> int:
+def cmd_cpw(args) -> int:
     geom = CpwGeometry(center_width=args.width, gap_width=args.gap, eps_r=args.eps_r)
     derived = cpw_derive(geom)
     report = {
-        "generated_by": GENERATED_BY,
-        "config": effective_config(args, ["width", "gap", "eps_r", "freq", "x2"]),
         "Z0_ohm": derived.z0,
         "eps_eff": derived.eps_eff,
         "v_ph_m_per_s": derived.v_ph,
@@ -340,83 +320,83 @@ def cmd_cpw(args, argv) -> int:
         lam = wavelength(2 * np.pi * args.freq * 1e9, derived.v_ph)
         report["lambda_mm"] = lam * 1e3
         report["lambda_ratio"] = lambda_ratio_for_freq(args.freq, geom, args.x2)
-    if args.format == "json" or args.out:
-        write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        for key in ("Z0_ohm", "eps_eff", "v_ph_m_per_s", "lambda_mm", "lambda_ratio"):
-            if key in report:
-                print(f"{key} = {fmt(report[key])}")
+    emit(args, report, list(report), [list(report.values())])
     return EXIT_OK
 
 
 # --- argument parsing -----------------------------------------------------
 
-def add_common(sp, time_grid=True):
-    sp.add_argument("--gamma", type=float, default=5.0,
-                    help="qubit-waveguide coupling, MHz (default 5)")
-    sp.add_argument("--gamma-nr", type=float, default=0.03,
-                    help="intrinsic relaxation rate, MHz (default 0.03)")
-    if time_grid:
-        sp.add_argument("--t-max", type=float, default=None, help="us (default 8/gamma)")
-        sp.add_argument("--sample-dt", type=float, default=None, help="us (default t_max/1000)")
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--config", default=None, help="key-value configuration file")
+SHARED_FLAGS = {
+    "--gamma": dict(type=float, default=5.0, help="qubit-waveguide coupling, MHz (default 5)"),
+    "--gamma-nr": dict(type=float, default=0.03,
+                       help="intrinsic relaxation rate, MHz (default 0.03)"),
+    "--t-max": dict(type=float, default=None, help="us (default 8/gamma)"),
+    "--sample-dt": dict(type=float, default=None, help="us (default t_max/1000)"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--config": dict(default=None, help="key-value configuration file"),
+}
+OUTPUT_FLAGS = ("--out", "--format", "--config")
+
+
+def add_shared(sp, *flags: str):
+    for flag in flags:
+        sp.add_argument(flag, **SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wgqed", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=GENERATED_BY)
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a removed flag must not resolve to a longer one (--gamma to --gamma-nr)
+    new = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("rates", help="derived rates vs wavelength ratio")
+    sp = new("rates", help="derived rates vs wavelength ratio")
     sp.add_argument("--range", required=True,
                     help="lambda-ratio grid 'start:stop:step' or single value")
-    add_common(sp, time_grid=False)
+    add_shared(sp, "--gamma", "--gamma-nr", *OUTPUT_FLAGS)
     sp.set_defaults(func=cmd_rates)
 
-    sp = sub.add_parser("evolve", help="propagate one trajectory")
+    sp = new("evolve", help="propagate one trajectory")
     sp.add_argument("--state", choices=("werner", "pw"), default="werner")
     sp.add_argument("--f", type=float, required=True)
     sp.add_argument("--lambda-ratio", type=float, required=True)
     sp.add_argument("--delta-bare", type=float, default=0.0, help="bare detuning, MHz")
     sp.add_argument("--g", type=float, default=0.0, help="direct exchange coupling, MHz")
-    add_common(sp)
+    add_shared(sp, "--gamma", "--gamma-nr", "--t-max", "--sample-dt", *OUTPUT_FLAGS)
     sp.set_defaults(func=cmd_evolve)
 
-    sp = sub.add_parser("scan", help="ESD/revival grid over f and lambda-ratio")
+    sp = new("scan", help="ESD/revival grid over f and lambda-ratio")
     sp.add_argument("--state", choices=("werner", "pw"), default="werner")
     sp.add_argument("--f-range", default="", help="'start:stop:step' (empty for no rows)")
     sp.add_argument("--lambda-ratios", default="", help="comma-separated list")
-    add_common(sp)
+    add_shared(sp, "--gamma", "--gamma-nr", "--t-max", "--sample-dt", *OUTPUT_FLAGS)
     sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("prepare", help="three-qubit pseudo-Werner preparation")
+    sp = new("prepare", help="three-qubit pseudo-Werner preparation (JSON)")
     sp.add_argument("--f", type=float, required=True)
     sp.add_argument("--dissipative", action="store_true")
     sp.add_argument("--g", type=float, default=10.0, help="a-b exchange strength, MHz")
     sp.add_argument("--g-bc", type=float, default=10.0, help="b-c exchange strength, MHz")
-    add_common(sp, time_grid=False)
-    sp.set_defaults(func=cmd_prepare, format="json")
+    add_shared(sp, "--gamma-nr", "--out", "--config")
+    sp.set_defaults(func=cmd_prepare)
 
-    sp = sub.add_parser("mix", help="single-qubit mixed-state generation")
+    sp = new("mix", help="single-qubit mixed-state generation")
     sp.add_argument("--omega", type=float, default=30.0, help="Rabi frequency, MHz")
     sp.add_argument("--pulse", type=float, default=35.0, help="pulse duration, us")
     sp.add_argument("--wait", type=float, default=0.0, help="wait after pulse, us")
     sp.add_argument("--flip", action="store_true", help="final pi-pulse (maps f to 1-f)")
     sp.add_argument("--sample-dt", type=float, default=0.01, help="us (default 0.01)")
-    add_common(sp, time_grid=False)
+    add_shared(sp, "--gamma-nr", *OUTPUT_FLAGS)
     sp.set_defaults(func=cmd_mix)
 
-    sp = sub.add_parser("cpw", help="coplanar waveguide design numbers")
+    sp = new("cpw", help="coplanar waveguide design numbers")
     sp.add_argument("--width", type=float, required=True, help="center conductor width, um")
     sp.add_argument("--gap", type=float, required=True, help="vacuum gap width, um")
     sp.add_argument("--eps-r", type=float, default=9.8)
     sp.add_argument("--freq", type=float, default=None, help="qubit frequency, GHz")
     sp.add_argument("--x2", type=float, default=18.4, help="qubit separation, mm")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--config", default=None)
+    add_shared(sp, *OUTPUT_FLAGS)
     sp.set_defaults(func=cmd_cpw)
 
     return parser
@@ -427,13 +407,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        known = {k for k in vars(args) if k not in ("func", "command", "config")}
+        known = set(settings(args))
         apply_config(args, argv, known)
         for key in known:
             value = getattr(args, key)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
-        return args.func(args, argv)
+        return args.func(args)
     except ValueError as exc:  # UsageError and invalid values alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

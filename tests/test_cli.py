@@ -1,10 +1,14 @@
 """Unit tests for the command-line interface (run in-process)."""
 
+import csv
+import io
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wgqed.cli
 from wgqed.cli import (
@@ -14,6 +18,7 @@ from wgqed.cli import (
     EXIT_USAGE,
     InvariantViolation,
     check_trajectory_invariants,
+    csv_line,
     main,
     parse_range,
     trajectory_rows,
@@ -33,6 +38,17 @@ class TestParseRange:
         for bad in ("1:2", "a:b:c", "2:1:0.5", "1:2:-1"):
             with pytest.raises(ValueError):
                 parse_range(bad)
+
+    @pytest.mark.parametrize("spec, n, last", [
+        ("0.25:1.0:0.1", 8, 0.95),   # the step does not divide the span: stop is not reached
+        ("0.30:1.00:0.05", 15, 1.0),  # (1.0 - 0.3) / 0.05 = 13.999999999999998
+        ("1.2:2.0:0.1", 9, 2.0),
+        ("0.3:0.9:0.2", 4, 0.9),
+    ])
+    def test_grid_stops_at_stop(self, spec, n, last):
+        grid = parse_range(spec)
+        assert len(grid) == n
+        assert grid[-1] == pytest.approx(last, abs=1e-12)
 
 
 class TestRates:
@@ -140,6 +156,13 @@ class TestMix:
         assert lines[0] == "t_us,rho_gg,rho_ee,abs_rho_eg"
         assert "f_achieved" in capsys.readouterr().out
 
+    def test_stdout_is_one_csv_table(self, capsys):
+        assert main(self.ARGS) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
+        assert len(rows) == 202 and all(len(row) == 4 for row in rows)
+        np.array(rows[1:], dtype=float)  # every field is a number
+
     def test_json_f_achieved(self, tmp_path):
         out = tmp_path / "mix.json"
         assert main(self.ARGS + ["--format", "json", "--out", str(out)]) == EXIT_OK
@@ -160,6 +183,59 @@ class TestCpw:
         payload = json.loads(out.read_text())
         assert payload["Z0_ohm"] == pytest.approx(48.7, abs=0.5)
         assert payload["lambda_ratio"] == pytest.approx(1.0, abs=0.01)
+
+    def test_csv_report_is_a_one_row_table(self, tmp_path):
+        out = tmp_path / "cpw.csv"
+        assert main(["cpw", "--width", "20", "--gap", "8", "--freq", "7",
+                     "--format", "csv", "--out", str(out)]) == EXIT_OK
+        header, row = csv.reader(io.StringIO(out.read_text()))
+        assert header == ["Z0_ohm", "eps_eff", "v_ph_m_per_s", "lambda_mm", "lambda_ratio"]
+        assert float(row[0]) == pytest.approx(48.7, abs=0.5)
+
+
+class TestEmit:
+    @pytest.mark.parametrize("argv, flags", [
+        (["rates", "--range", "1.5"], {"range", "gamma", "gamma_nr"}),
+        (["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "0.1"],
+         {"state", "f", "lambda_ratio", "delta_bare", "g", "gamma", "gamma_nr", "t_max",
+          "sample_dt"}),
+        (["scan", "--f-range", "0.9", "--lambda-ratios", "1.5", "--t-max", "0.1"],
+         {"state", "f_range", "lambda_ratios", "gamma", "gamma_nr", "t_max", "sample_dt"}),
+        (["prepare", "--f", "0.8"], {"f", "dissipative", "g", "g_bc", "gamma_nr"}),
+        (["mix", "--gamma-nr", "3", "--pulse", "2"],
+         {"omega", "pulse", "wait", "flip", "sample_dt", "gamma_nr"}),
+        (["cpw", "--width", "20", "--gap", "8"], {"width", "gap", "eps_r", "freq", "x2"}),
+    ])
+    def test_json_config_lists_every_setting(self, argv, flags, tmp_path):
+        out = tmp_path / "out.json"
+        if argv[0] != "prepare":  # prepare writes JSON only and has no --format
+            argv = argv + ["--format", "json"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["generated_by"].startswith("wgqed ")
+        assert set(payload["config"]) == flags
+
+    def test_scan_json_rows_match_csv(self, tmp_path):
+        argv = ["scan", "--f-range", "0.8:0.9:0.1", "--lambda-ratios", "1.2,3.0",
+                "--t-max", "0.5", "--sample-dt", "0.005"]
+        csv_out, json_out = tmp_path / "scan.csv", tmp_path / "scan.json"
+        assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
+        assert main(argv + ["--format", "json", "--out", str(json_out)]) == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(csv_out.read_text()))
+        payload = json.loads(json_out.read_text())
+        assert payload["columns"] == header
+        as_csv = [["" if v is None else f"{float(v):.12g}" for v in row]
+                  for row in payload["rows"]]
+        assert as_csv == rows
+        assert any(v is None for row in payload["rows"] for v in row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.integers(-2**53, 2**53), st.none()),
+                    min_size=1, max_size=12))
+    def test_csv_line_matches_per_value_format(self, row):
+        expected = ",".join("" if v is None else f"{float(v):.12g}" for v in row)
+        assert csv_line(row) == expected
+        assert csv_line(tuple(row)) == expected
 
 
 class TestConfigFile:
@@ -193,6 +269,17 @@ class TestConfigFile:
                      "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["prepare", "--f", "0.8"], "gamma"),
+        (["mix", "--pulse", "0.1"], "gamma"),
+        (["prepare", "--f", "0.8"], "format"),
+    ])
+    def test_removed_keys_are_refused(self, argv, key, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{key} = 5\n")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         code = main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5",
@@ -228,6 +315,17 @@ class TestExitCodes:
     def test_bad_input_is_usage_error(self, argv, field, capsys):
         assert main(argv) == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["prepare", "--f", "0.8", "--gamma", "5"],
+        ["mix", "--gamma", "5"],
+        ["prepare", "--f", "0.8", "--format", "json"],
+    ])
+    def test_removed_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_over_cap_sample_grid_is_usage_error(self, capsys):
         start = time.perf_counter()
