@@ -3,7 +3,6 @@
 from .linalg import (
     expm_skew,
     fidelity,
-    herm_eigvals,
     partial_trace,
     tensor,
 )
@@ -21,7 +20,6 @@ from .dynamics import (
     XState,
     evolve_full,
     evolve_xstate,
-    xstate_rhs,
 )
 from .entangle import (
     EsdReport,

@@ -44,13 +44,13 @@ GENERATED_BY = f"wgqed {__version__}"
 
 #: tolerance for per-row invariant checks on emitted trajectories
 REPORT_TOL = 1e-8
+#: initial X state of each --state family, as a function of --f
+INITIAL_XSTATE = {"werner": werner_xstate, "pw": pw_xstate}
+#: CSV rows per write, so a long table is never held as one string
+CSV_BLOCK = 4096
 
 
 class InvariantViolation(RuntimeError):
-    pass
-
-
-class UsageError(ValueError):
     pass
 
 
@@ -74,7 +74,7 @@ def parse_range(spec: str) -> np.ndarray:
             return start + step * np.arange(n + 1)
     except ValueError:
         pass
-    raise UsageError(f"malformed range {spec!r}, expected 'start:stop:step' or a number")
+    raise ValueError(f"malformed range {spec!r}, expected 'start:stop:step' or a number")
 
 
 def csv_line(row) -> str:
@@ -85,8 +85,16 @@ def csv_line(row) -> str:
 
 
 def settings(args: argparse.Namespace) -> dict:
-    """Every parsed setting of the subcommand: the keys a config file may hold."""
+    """Every parsed setting of the subcommand: the flags a config file may set."""
     return {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
+
+
+def csv_blocks(columns: list[str], rows):
+    """CSV text in blocks of CSV_BLOCK rows, the header leading the first."""
+    head = [",".join(columns)]
+    for k in range(0, max(len(rows), 1), CSV_BLOCK):
+        yield "\n".join(head + [csv_line(row) for row in rows[k:k + CSV_BLOCK]]) + "\n"
+        head = []
 
 
 def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
@@ -99,46 +107,50 @@ def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
     if columns is None or args.format == "json":
         config = {k: v for k, v in settings(args).items() if k not in ("out", "format")}
         payload = {"generated_by": GENERATED_BY, "config": config, **fields}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        blocks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     else:
-        text = "\n".join([",".join(columns)] + [csv_line(row) for row in rows]) + "\n"
+        blocks = csv_blocks(columns, rows)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 # --- configuration files -------------------------------------------------
 
-def apply_config(args: argparse.Namespace, argv: list[str], known: set[str]):
-    """Fill args from the config file for keys not given as flags."""
-    if not args.config:
-        return
-    cp = configparser.ConfigParser()
-    read = cp.read(args.config)
-    if not read:
-        raise UsageError(f"cannot read config file {args.config}")
+def with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the keys of its --config file as flags right after the subcommand name.
+
+    The user's own flags come after them, so they win in either spelling.
+    """
+    pre = argparse.ArgumentParser(prog="wgqed", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    at = next((i for i, a in enumerate(argv) if a in commands), None)
+    if path is None or at is None:
+        return argv
+    cp = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
+    try:
+        if not cp.read(path):
+            raise ValueError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from None
+    flags = []
     for section in cp.sections():
-        for key, value in cp.items(section):
-            key = key.replace("-", "_")
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r} in section [{section}]")
+        for key, value in cp[section].items():
             flag = "--" + key.replace("_", "-")
-            if flag in argv:
-                continue  # flags override file values
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, cp.getboolean(section, key))
-            elif isinstance(current, int):
-                setattr(args, key, int(value))
-            elif isinstance(current, float) or current is None:
-                try:
-                    setattr(args, key, float(value))
-                except ValueError:
-                    setattr(args, key, value)
-            else:
-                setattr(args, key, value)
+            action = commands[argv[at]]._option_string_actions.get(flag)
+            if action is None or action.dest in ("help", "config"):
+                raise ValueError(f"unknown config key {key.replace('-', '_')!r} "
+                                 f"in section [{section}]")
+            if action.nargs != 0:
+                flags.append(f"{flag}={value}")
+            elif cp[section].getboolean(key):  # store_true: the bare flag when true
+                flags.append(flag)
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 # --- subcommand implementations ------------------------------------------
@@ -151,14 +163,6 @@ def make_params(args, lambda_ratio: float) -> WaveguideParams:
         delta_bare=mhz(getattr(args, "delta_bare", 0.0)),
         g=mhz(getattr(args, "g", 0.0)),
     )
-
-
-def initial_xstate(state: str, f: float) -> XState:
-    if state == "werner":
-        return werner_xstate(f)
-    if state == "pw":
-        return pw_xstate(f)
-    raise UsageError(f"unknown state family {state!r}")
 
 
 def rates_row(args, lambda_ratio: float) -> list[float]:
@@ -194,7 +198,7 @@ def time_grid(args, gamma: float) -> tuple[float, float]:
 
 def run_trajectory(args) -> Trajectory:
     p = make_params(args, args.lambda_ratio)
-    x0 = initial_xstate(args.state, args.f)
+    x0 = INITIAL_XSTATE[args.state](args.f)
     return evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
 
 
@@ -254,8 +258,8 @@ def cmd_scan(args) -> int:
         if not all(map(math.isfinite, ratios)):
             raise ValueError
     except ValueError:
-        raise UsageError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
-    x0s = [initial_xstate(args.state, f) for f in fs]  # a bad f is a usage error
+        raise ValueError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
+    x0s = [INITIAL_XSTATE[args.state](f) for f in fs]  # a bad f is a usage error
     rows = []
     failures = []
     for f, x0 in zip(fs, x0s):  # f-major order
@@ -281,13 +285,8 @@ def cmd_prepare(args) -> int:
                      g_strength=mhz(args.g), g_bc_strength=mhz(args.g_bc),
                      gamma_nr=mhz(args.gamma_nr))
     res = prepare_pw(cfg)
-    fields = {
-        "rho1": matrix_payload(res.rho1),
-        "rho2": matrix_payload(res.rho2),
-        "rho3": matrix_payload(res.rho3),
-        "rho_out": matrix_payload(res.rho_out),
-        "fidelity_to_target": fidelity(res.rho_out, pseudo_werner(args.f)),
-    }
+    fields = {k: matrix_payload(getattr(res, k)) for k in ("rho1", "rho2", "rho3", "rho_out")}
+    fields["fidelity_to_target"] = fidelity(res.rho_out, pseudo_werner(args.f))
     if res.gate_durations_us is not None:
         fields["gate_durations_us"] = list(res.gate_durations_us)
     emit(args, fields)
@@ -405,16 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        known = set(settings(args))
-        apply_config(args, argv, known)
-        for key in known:
-            value = getattr(args, key)
+        args = parser.parse_args(with_config(parser, argv))
+        for key, value in settings(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except ValueError as exc:  # UsageError and invalid values alike
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationError as exc:

@@ -8,9 +8,7 @@ Two paths are provided: ``evolve_full`` propagates the vectorized 4x4
 density matrix under the full generator, ``evolve_xstate`` propagates the
 eight real degrees of freedom of an X-shape state.  The reduced
 right-hand side is obtained by restricting the generator to the X
-manifold numerically, not by transcribing closed-form kinetic equations;
-a hand-transcribed version is kept only as a cross-check
-(:func:`kinetics_reference_rhs`, :func:`kinetics_discrepancy`).
+manifold numerically, not by transcribing closed-form kinetic equations.
 """
 
 from __future__ import annotations
@@ -159,13 +157,6 @@ def xstate_generator_matrix(gen: np.ndarray) -> np.ndarray:
     return m
 
 
-def xstate_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
-    """Time derivative of an X state (returned as an XState-shaped bundle)."""
-    gen = build_generator(r, p)
-    d = apply_generator(gen, x.to_matrix())
-    return XState.from_matrix(d)
-
-
 def grid_steps(duration: float, dt: float) -> int:
     """Number of dt steps covering duration.
 
@@ -228,73 +219,3 @@ def evolve_xstate(x0: XState, r: DerivedRates, p: WaveguideParams, t_max: float,
     times = _sample_times(t_max, sample_dt)
     ys = propagate(m, x0.to_vector(), sample_dt, len(times) - 1)
     return Trajectory(times=times, states=ys, rates=r)
-
-
-# --- cross-check against the hand-transcribed kinetic equations ----------
-
-def kinetics_reference_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
-    """Closed-form kinetic equations for the X manifold, kept as an oracle.
-
-    The source text uses the opposite qubit ordering (qubit a slow), so
-    inputs are mapped by swapping the single-excitation populations and
-    conjugating the inner coherence, and the result is mapped back.
-    """
-    gamma, gnr, phi = p.gamma, p.gamma_nr, r.phi
-    c1, c2, c3 = np.cos(phi), np.cos(2 * phi), np.cos(3 * phi)
-    s1, s2, s3 = np.sin(phi), np.sin(2 * phi), np.sin(3 * phi)
-    # their labels: b is the b-excited population, z = conj(ours)
-    a, b, c, d = x.a, x.c, x.b, x.d
-    z, w = np.conj(x.z), x.w
-    zr = z + np.conj(z)
-    omega_a, omega_b = p.delta_bare / 2, -p.delta_bare / 2
-
-    w_dot = -0.5 * w * (2 * (gamma + gnr) + 2j * (omega_a + omega_b)
-                        + gamma * (c1 + c3) + 1j * gamma * (s1 + s3))
-    z_dot = 0.5 * (-2 * z * (gamma + gnr) - 2j * z * (omega_a - omega_b)
-                   + (2 * d - b - z - c) * gamma * c1
-                   + (2 * d - b - c) * gamma * c2
-                   - z * gamma * c3
-                   + 1j * (b - c - z) * gamma * s1
-                   + 1j * (b - c) * gamma * s2
-                   + 1j * z * gamma * s3)
-    a_dot = ((b + c) * (gamma + gnr) + (c + zr) * gamma * c1
-             + zr * gamma * c2 + b * gamma * c3)
-    b_dot = ((gamma + gnr) * (d - b) + (d - zr / 2) * gamma * c1
-             - zr / 2 * gamma * c2 - b * gamma * c3
-             + 0.5j * gamma * (z - np.conj(z)) * (s1 + s2))
-    c_dot = ((gamma + gnr) * (d - c) - (c + zr / 2) * gamma * c1
-             - zr / 2 * gamma * c2 + d * gamma * c3
-             - 0.5j * gamma * (z - np.conj(z)) * (s1 + s2))
-    d_dot = -d * (2 * (gamma + gnr) + gamma * (c1 + c3))
-    # map back to our ordering
-    return XState(a=float(np.real(a_dot)), b=float(np.real(c_dot)),
-                  c=float(np.real(b_dot)), d=float(np.real(d_dot)),
-                  z=complex(np.conj(z_dot)), w=complex(w_dot))
-
-
-def kinetics_discrepancy(r: DerivedRates, p: WaveguideParams, n: int = 50,
-                         seed: int = 0) -> dict[str, float]:
-    """Max per-element gap between the derived and transcribed X-state RHS.
-
-    Returned for logging; the generator-derived right-hand side is the one
-    the propagator uses regardless of what this reports.
-    """
-    rng = np.random.default_rng(seed)
-    worst = dict.fromkeys(["a", "b", "c", "d", "z", "w"], 0.0)
-    for _ in range(n):
-        x = random_xstate(rng)
-        got = xstate_rhs(x, r, p)
-        ref = kinetics_reference_rhs(x, r, p)
-        for name in ("a", "b", "c", "d", "z", "w"):
-            gap = abs(getattr(got, name) - getattr(ref, name))
-            worst[name] = max(worst[name], float(gap))
-    return worst
-
-
-def random_xstate(rng: np.random.Generator) -> XState:
-    """Random valid X-shape state (PSD blocks, unit trace)."""
-    pops = rng.dirichlet(np.ones(4))
-    a, b, c, d = pops
-    z = rng.uniform(0, 1) * np.sqrt(b * c) * np.exp(2j * np.pi * rng.uniform())
-    w = rng.uniform(0, 1) * np.sqrt(a * d) * np.exp(2j * np.pi * rng.uniform())
-    return XState(a=a, b=b, c=c, d=d, z=z, w=w)

@@ -26,36 +26,20 @@ class EsdReport:
     final_concurrence: float = 0.0
 
 
-def _branches(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F = |z| - sqrt(a+ d+), G = |w| - sqrt(b+ c+) over (..., 8), x+ = max(x, 0).
+def margins(xs: np.ndarray) -> np.ndarray:
+    """Entanglement margin 2*max(F, G) of every X state in an (..., 8) array.
 
+    F = |z| - sqrt(a+ d+) and G = |w| - sqrt(b+ c+), with x+ = max(x, 0);
     hypot gives |z| and |w| rounded exactly like Python's ``abs(complex)``.
+    Unclamped: strictly negative over an interval iff the concurrence is
+    exactly zero there, which makes sudden death decidable at finite times
+    even when the clamped concurrence merely decays asymptotically.
     """
     xs = np.asarray(xs)
     a, b, c, d = (np.maximum(xs[..., k], 0.0) for k in range(4))
     f = np.hypot(xs[..., 4], xs[..., 5]) - np.sqrt(a * d)
     g = np.hypot(xs[..., 6], xs[..., 7]) - np.sqrt(b * c)
-    return f, g
-
-
-def margins(xs: np.ndarray) -> np.ndarray:
-    """Entanglement margin 2*max(F, G) of every X state in an (..., 8) array.
-
-    Unclamped: strictly negative over an interval iff the concurrence is
-    exactly zero there, which makes sudden death decidable at finite times
-    even when the clamped concurrence merely decays asymptotically.
-    """
-    return 2.0 * np.maximum(*_branches(xs))
-
-
-def x_branches(x: XState) -> tuple[float, float]:
-    """The two competing branches of the X-state concurrence formula."""
-    return tuple(float(v) for v in _branches(x.to_vector()))
-
-
-def entanglement_margin(x: XState) -> float:
-    """:func:`margins` of one X state."""
-    return float(margins(x.to_vector()))
+    return 2.0 * np.maximum(f, g)
 
 
 def concurrence_x(x: XState, tol: float = 1e-8) -> float:

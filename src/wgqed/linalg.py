@@ -6,8 +6,7 @@ Conventions used throughout the package:
 * multi-qubit tensor products are row-major (left factor is the slow index),
   so for the a/b qubit pair the basis is |b a> with a varying fastest, and
   for the three-qubit register it is |c b a>;
-* structural checks (trace, hermiticity, positivity) use ``STRUCT_TOL``,
-  unitarity checks use ``UNITARY_TOL``.
+* structural checks (trace, hermiticity, positivity) use ``STRUCT_TOL``.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 STRUCT_TOL = 1e-9
-UNITARY_TOL = 1e-12
-MAX_DIM = 16
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -33,12 +30,7 @@ SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor as the slow index."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {dim} exceeds {MAX_DIM}")
-    return np.kron(a, b)
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def tensor_all(*ops: np.ndarray) -> np.ndarray:
@@ -54,18 +46,6 @@ XY_EXCHANGE = tensor(SIGMA_MINUS, SIGMA_PLUS) + tensor(SIGMA_PLUS, SIGMA_MINUS)
 
 def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def herm_eigvals(m: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Rejects non-Hermitian input, reporting the maximum asymmetry.
-    """
-    m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
-    return np.linalg.eigvalsh(m)
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:

@@ -28,10 +28,11 @@ from wgqed import (
     werner_xstate,
 )
 from wgqed.cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from wgqed.dynamics import XState, off_x_leakage, random_xstate
+from wgqed.dynamics import XState, off_x_leakage
 from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, build_generator
 from wgqed.states import PrepConfig, RabiConfig
+from xstate_oracles import random_xstate
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
 

@@ -229,6 +229,16 @@ class TestEmit:
         assert as_csv == rows
         assert any(v is None for row in payload["rows"] for v in row)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 9, 10])
+    def test_csv_blocks_write_the_same_table(self, block, monkeypatch, tmp_path):
+        argv = ["rates", "--range", "1.2:2.0:0.1"]  # header and 9 rows
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        assert main(argv + ["--out", str(whole)]) == EXIT_OK
+        monkeypatch.setattr(wgqed.cli, "CSV_BLOCK", block)
+        assert main(argv + ["--out", str(blocked)]) == EXIT_OK
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == 10
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.integers(-2**53, 2**53), st.none()),
                     min_size=1, max_size=12))
@@ -285,6 +295,77 @@ class TestConfigFile:
         code = main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5",
                      "--config", str(tmp_path / "missing.ini")])
         assert code == EXIT_USAGE
+
+    def test_flag_beats_the_file_in_the_equals_spelling(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nt-max = 0.5\nsample-dt = 0.01\n")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--config", str(cfg),
+                     "--t-max=0.25", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().strip().splitlines()) == 27
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (["rates", "--range", "1.5"], "format = xml", "invalid choice: 'xml'"),
+        (["evolve", "--f", "0.9", "--lambda-ratio", "1.5"], "t-max = abc",
+         "argument --t-max: invalid float value: 'abc'"),
+    ])
+    def test_bad_value_is_usage_error(self, argv, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_required_flag_may_come_from_the_file(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nlambda-ratio = 1.5\n")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--f", "0.9", "--t-max", "0.1", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().strip().splitlines()) == 1002
+
+    @pytest.mark.parametrize("value, on", [("yes", True), ("no", False)])
+    def test_store_true_key_is_the_bare_flag(self, value, on, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ndissipative = {value}\n")
+        out = tmp_path / "out.json"
+        assert main(["prepare", "--f", "0.8", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["config"]["dissipative"] is on
+        assert ("gate_durations_us" in payload) is on
+
+    @pytest.mark.parametrize("text", [
+        "f = 0.9\n",  # no section header
+        "[run]\nf = 0.9\n[run]\ng = 1\n",  # a repeated section
+        "[run]\nf = 0.9\nf = 0.8\n",  # a repeated key
+    ])
+    def test_malformed_file_is_usage_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5",
+                     "--config", str(cfg)]) == EXIT_USAGE
+        assert f"malformed config file {cfg}" in capsys.readouterr().err
+
+    def test_percent_in_a_value_is_literal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text("[run]\nout = a%b.csv\n")
+        assert main(["rates", "--range", "1.5", "--config", "run.ini"]) == EXIT_OK
+        assert (tmp_path / "a%b.csv").read_text().startswith("lambda_ratio,")
+
+    def test_json_config_block_matches_flags(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nstate = pw\nlambda-ratio = 1.5\nt-max = 0.5\n"
+                       "[grid]\nsample_dt = 0.01\ndelta-bare = 2\ng = 0.5\n")
+        flags = ["--state", "pw", "--lambda-ratio", "1.5", "--t-max", "0.5",
+                 "--sample-dt", "0.01", "--delta-bare", "2", "--g", "0.5"]
+        from_file, from_flags = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["evolve", "--f", "0.9", "--format", "json"]
+        assert main(base + ["--config", str(cfg), "--out", str(from_file)]) == EXIT_OK
+        assert main(base + flags + ["--out", str(from_flags)]) == EXIT_OK
+        assert (json.loads(from_file.read_text())["config"]
+                == json.loads(from_flags.read_text())["config"])
 
 
 class TestExitCodes:

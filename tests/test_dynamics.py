@@ -19,15 +19,13 @@ from wgqed.dynamics import (
     XState,
     evolve_full,
     evolve_xstate,
-    kinetics_discrepancy,
     off_x_leakage,
     propagate,
-    random_xstate,
     xstate_generator_matrix,
-    xstate_rhs,
     xstate_violation,
 )
 from wgqed.model import WaveguideParams, apply_generator, build_generator, derive_rates, mhz
+from xstate_oracles import kinetics_discrepancy, random_xstate, xstate_rhs
 
 GAMMA = mhz(5.0)
 GAMMA_NR = mhz(0.03)

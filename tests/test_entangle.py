@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgqed.dynamics import Trajectory, XState, random_xstate
+from wgqed.dynamics import Trajectory, XState
 from wgqed.entangle import (
     NonMonotoneError,
     concurrence_wootters,
     concurrence_x,
     detect_events,
-    entanglement_margin,
     esd_threshold,
     margins,
     pw_concurrence_closed,
     trajectory_concurrences,
-    x_branches,
 )
 from wgqed.model import WaveguideParams, derive_rates, mhz
 from wgqed.states import pw_xstate, werner_xstate
+from xstate_oracles import random_xstate
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
 
@@ -45,15 +44,16 @@ class TestConcurrenceX:
             assert concurrence_x(werner_xstate(f)) == pytest.approx(expected, abs=1e-12)
 
     def test_branches_and_margin(self):
+        # F = |z| - sqrt(ad) = 0.25 - sqrt(0.03) beats G = |w| - sqrt(bc) = -0.3
         x = XState(a=0.1, b=0.3, c=0.3, d=0.3, z=0.25j)
-        f, g = x_branches(x)
-        assert f == pytest.approx(0.25 - np.sqrt(0.03))
-        assert g == pytest.approx(-0.3)
-        assert entanglement_margin(x) == pytest.approx(2 * f)
+        assert margins(x.to_vector()) == pytest.approx(2 * (0.25 - np.sqrt(0.03)))
+        # the mirror state swaps the branches: G = 0.25 - sqrt(0.03) beats F = -0.3
+        x = XState(a=0.3, b=0.1, c=0.3, d=0.3, w=0.25j)
+        assert margins(x.to_vector()) == pytest.approx(2 * (0.25 - np.sqrt(0.03)))
 
     def test_margin_unclamped_for_separable(self):
         x = XState(a=0.25, b=0.25, c=0.25, d=0.25)
-        assert entanglement_margin(x) < 0
+        assert margins(x.to_vector()) < 0
         assert concurrence_x(x) == 0.0
 
     def test_validates_input(self):

@@ -17,7 +17,6 @@ from wgqed.linalg import (
     check_density_matrix,
     expm_skew,
     fidelity,
-    herm_eigvals,
     partial_trace,
     tensor,
     tensor_all,
@@ -42,10 +41,6 @@ class TestTensor:
         proj = np.diag([0.0, 1.0])
         out = tensor(proj, I2)
         np.testing.assert_allclose(out, np.diag([0, 0, 1, 1]))
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            tensor(np.eye(8), np.eye(4))
 
     def test_tensor_all_three_factors(self):
         out = tensor_all(SIGMA_Z, I2, SIGMA_X)
@@ -74,19 +69,6 @@ class TestPauli:
             v = np.zeros(4)
             v[k] = 1.0
             np.testing.assert_allclose(XY_EXCHANGE @ v, 0 * v)
-
-
-class TestHermEigvals:
-    def test_sorted_real_spectrum(self):
-        m = random_density(4) * 4
-        vals = herm_eigvals(m)
-        assert np.all(np.diff(vals) >= 0)
-        np.testing.assert_allclose(vals.sum(), np.trace(m).real, atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            herm_eigvals(m)
 
 
 class TestCheckDensityMatrix:
