@@ -21,19 +21,12 @@ import numpy as np
 
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from .dynamics import IntegrationError, Trajectory, XState, evolve_xstate, xstate_violation
+from .dynamics import (SAMPLE_TOL, IntegrationError, Trajectory, XState, evolve_xstate,
+                       xstate_violation)
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
-from .states import (
-    PrepConfig,
-    RabiConfig,
-    mixed_qubit,
-    prepare_pw,
-    pseudo_werner,
-    pw_xstate,
-    werner_xstate,
-)
+from .states import FAMILIES, PrepConfig, RabiConfig, mixed_qubit, prepare_pw, pseudo_werner
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,10 +35,6 @@ EXIT_INVARIANT = 4
 
 GENERATED_BY = f"wgqed {__version__}"
 
-#: tolerance for per-row invariant checks on emitted trajectories
-REPORT_TOL = 1e-8
-#: initial X state of each --state family, as a function of --f
-INITIAL_XSTATE = {"werner": werner_xstate, "pw": pw_xstate}
 #: CSV rows per write, so a long table is never held as one string
 CSV_BLOCK = 4096
 
@@ -141,14 +130,19 @@ def with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     flags = []
     for section in cp.sections():
         for key, value in cp[section].items():
-            flag = "--" + key.replace("_", "-")
+            flag, name = "--" + key.replace("_", "-"), key.replace("-", "_")
             action = commands[argv[at]]._option_string_actions.get(flag)
             if action is None or action.dest in ("help", "config"):
-                raise ValueError(f"unknown config key {key.replace('-', '_')!r} "
-                                 f"in section [{section}]")
+                raise ValueError(f"unknown config key {name!r} in section [{section}]")
             if action.nargs != 0:
                 flags.append(f"{flag}={value}")
-            elif cp[section].getboolean(key):  # store_true: the bare flag when true
+                continue
+            try:  # store_true: the bare flag when true
+                on = cp[section].getboolean(key)
+            except ValueError as exc:
+                raise ValueError(f"config key {name!r} in section [{section}] of {path}: "
+                                 f"{exc}") from None
+            if on:
                 flags.append(flag)
     return argv[:at + 1] + flags + argv[at + 1:]
 
@@ -196,14 +190,17 @@ def time_grid(args, gamma: float) -> tuple[float, float]:
     return t_max, sample_dt
 
 
-def run_trajectory(args) -> Trajectory:
-    p = make_params(args, args.lambda_ratio)
-    x0 = INITIAL_XSTATE[args.state](args.f)
-    return evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
+def run_trajectory(args, x0: XState, lambda_ratio: float):
+    """(trajectory, concurrence, events) of x0 on the flags' time grid, every sample checked."""
+    p = make_params(args, lambda_ratio)
+    traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
+    check_trajectory_invariants(traj)
+    c = trajectory_concurrences(traj)
+    return traj, c, detect_events(traj.times, c)
 
 
 def check_trajectory_invariants(traj: Trajectory):
-    bad = xstate_violation(traj.states, REPORT_TOL)
+    bad = xstate_violation(traj.states, SAMPLE_TOL)
     if bad is not None:
         k, reason = bad
         raise InvariantViolation(f"sample at t = {traj.times[k]:.6g} us: {reason}")
@@ -216,14 +213,11 @@ def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
 
 def cmd_evolve(args) -> int:
     try:
-        traj = run_trajectory(args)
+        traj, c, report = run_trajectory(args, FAMILIES[args.state](args.f), args.lambda_ratio)
     except IntegrationError:
         if args.out and os.path.exists(args.out):
             os.remove(args.out)
         raise
-    check_trajectory_invariants(traj)
-    c = trajectory_concurrences(traj)
-    report = detect_events(traj.times, c)
     rows = trajectory_rows(traj, c)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
@@ -239,18 +233,6 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def scan_cell(args, f: float, x0: XState, lambda_ratio: float) -> list:
-    """[f, lambda_ratio, died, revived, t_death, t_revival, C_final]; None for no event."""
-    p = make_params(args, lambda_ratio)
-    traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
-    check_trajectory_invariants(traj)
-    rep = detect_events(traj.times, trajectory_concurrences(traj))
-    return [f, lambda_ratio, 1 if rep.death_times else 0, 1 if rep.revival_times else 0,
-            rep.death_times[0] if rep.death_times else None,
-            rep.revival_times[0] if rep.revival_times else None,
-            rep.final_concurrence]
-
-
 def cmd_scan(args) -> int:
     fs = parse_range(args.f_range) if args.f_range else np.array([])
     try:
@@ -259,16 +241,21 @@ def cmd_scan(args) -> int:
             raise ValueError
     except ValueError:
         raise ValueError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
-    x0s = [INITIAL_XSTATE[args.state](f) for f in fs]  # a bad f is a usage error
+    x0s = [FAMILIES[args.state](f) for f in fs]  # a bad f is a usage error
     rows = []
     failures = []
     for f, x0 in zip(fs, x0s):  # f-major order
         for lr in ratios:
             try:
-                rows.append(scan_cell(args, f, x0, lr))
+                rep = run_trajectory(args, x0, lr)[2]
             except (IntegrationError, InvariantViolation) as exc:  # marked, scan continues
                 rows.append([f, lr] + [None] * 5)
                 failures.append((f, lr, str(exc)))
+                continue
+            deaths, revivals = rep.death_times, rep.revival_times
+            rows.append([f, lr, int(bool(deaths)), int(bool(revivals)),
+                         deaths[0] if deaths else None, revivals[0] if revivals else None,
+                         rep.final_concurrence])
     columns = "f,lambda_ratio,died,revived,t_death,t_revival,C_final".split(",")
     emit(args, {"columns": columns, "rows": rows}, columns, rows)
     for f, lr, msg in failures:
@@ -357,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rates)
 
     sp = new("evolve", help="propagate one trajectory")
-    sp.add_argument("--state", choices=("werner", "pw"), default="werner")
+    sp.add_argument("--state", choices=tuple(FAMILIES), default="werner")
     sp.add_argument("--f", type=float, required=True)
     sp.add_argument("--lambda-ratio", type=float, required=True)
     sp.add_argument("--delta-bare", type=float, default=0.0, help="bare detuning, MHz")
@@ -366,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_evolve)
 
     sp = new("scan", help="ESD/revival grid over f and lambda-ratio")
-    sp.add_argument("--state", choices=("werner", "pw"), default="werner")
+    sp.add_argument("--state", choices=tuple(FAMILIES), default="werner")
     sp.add_argument("--f-range", default="", help="'start:stop:step' (empty for no rows)")
     sp.add_argument("--lambda-ratios", default="", help="comma-separated list")
     add_shared(sp, "--gamma", "--gamma-nr", "--t-max", "--sample-dt", *OUTPUT_FLAGS)

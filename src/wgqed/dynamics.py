@@ -25,6 +25,8 @@ from .model import DerivedRates, WaveguideParams, apply_generator, build_generat
 #: most samples one time grid may hold; admits the longest wait
 #: ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
 MAX_SAMPLES = 10**6 + 1
+#: invariant tolerance for propagated samples, which carry accumulated round-off
+SAMPLE_TOL = 1e-8
 
 
 class IntegrationError(RuntimeError):

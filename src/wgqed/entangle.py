@@ -7,10 +7,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import SIGMA_Y, check_density_matrix, tensor
-from .dynamics import Trajectory, XState, evolve_xstate
+from .dynamics import SAMPLE_TOL, Trajectory, XState, evolve_xstate
 from .model import WaveguideParams, derive_rates
+from .states import FAMILIES
 
 _YY = tensor(SIGMA_Y, SIGMA_Y)
+#: detect_events: a death is C <= DEAD_EPS for at least DEATH_HOLD samples
+DEAD_EPS = 1e-6
+DEATH_HOLD = 5
 
 
 class NonMonotoneError(RuntimeError):
@@ -42,13 +46,13 @@ def margins(xs: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(f, g)
 
 
-def concurrence_x(x: XState, tol: float = 1e-8) -> float:
+def concurrence_x(x: XState) -> float:
     """Closed-form concurrence of an X-shape state, in [0, 1].
 
-    ``tol`` is slightly looser than the structural default so propagated
-    samples, which carry accumulated round-off, still validate.
+    The state is validated to SAMPLE_TOL, so propagated samples, which
+    carry accumulated round-off, still pass.
     """
-    x.validate(tol=tol)
+    x.validate(tol=SAMPLE_TOL)
     return float(np.clip(margins(x.to_vector()), 0.0, 1.0))
 
 
@@ -78,67 +82,64 @@ def trajectory_concurrences(traj: Trajectory) -> np.ndarray:
     return np.clip(margins(traj.states), 0.0, 1.0)
 
 
-def detect_events(times: np.ndarray, c: np.ndarray, eps: float = 1e-6,
-                  hold: int = 5) -> EsdReport:
-    """Locate deaths (C drops to <= eps for >= hold samples) and revivals.
+def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport:
+    """Locate deaths (C <= DEAD_EPS for >= DEATH_HOLD samples) and revivals.
 
     ``c`` is the concurrence sampled at ``times``.  A death is a run of at
-    least ``hold`` dead samples that follows a live one; it revives at the
+    least DEATH_HOLD dead samples that follows a live one; it revives at the
     first live sample after the run.  Event times are refined by linear
-    interpolation of C between the bracketing samples.
+    interpolation of C between the bracketing samples.  A concurrence that
+    only decays below DEAD_EPS counts as a death here: this is not the
+    negative-margin sudden death of :func:`esd_threshold`.
     """
     if len(times) < 2:
         raise ValueError("trajectory needs at least 2 samples")
     t, c, n = np.asarray(times), np.asarray(c), len(c)
-    step = np.diff((c <= eps).astype(np.int8))
+    step = np.diff((c <= DEAD_EPS).astype(np.int8))
     starts = np.flatnonzero(step == 1) + 1  # first dead sample of a run
     ends = np.append(np.flatnonzero(step == -1) + 1, n)  # first live one after it
     stops = ends[np.searchsorted(ends, starts)]
-    held = stops - starts >= hold
+    held = stops - starts >= DEATH_HOLD
     return EsdReport(
-        death_times=[_cross_time(t, c, i - 1, eps) for i in starts[held]],
-        revival_times=[_cross_time(t, c, i - 1, eps) for i in stops[held] if i < n],
+        death_times=[_cross_time(t, c, i - 1) for i in starts[held]],
+        revival_times=[_cross_time(t, c, i - 1) for i in stops[held] if i < n],
         final_concurrence=float(c[-1]))
 
 
-def _cross_time(t, c, i, eps):
-    """Linear interpolation of the eps crossing between samples i and i+1."""
+def _cross_time(t, c, i):
+    """Linear interpolation of the DEAD_EPS crossing between samples i and i+1."""
     c0, c1 = c[i], c[i + 1]
     if c1 == c0:
         return float(t[i + 1])
-    frac = (c0 - eps) / (c0 - c1)
+    frac = (c0 - DEAD_EPS) / (c0 - c1)
     frac = min(max(frac, 0.0), 1.0)
     return float(t[i] + frac * (t[i + 1] - t[i]))
 
 
 def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
-                  tol: float = 0.005, t_max: float | None = None,
-                  samples: int = 1500) -> float:
+                  tol: float = 0.005) -> float:
     """Boundary fidelity below which the trajectory exhibits sudden death.
 
-    Bisection over f with the propagated trajectory as oracle; the ESD
-    predicate uses the unclamped margin (see :func:`margins`).
-    Monotonicity over the bracket is verified on a coarse grid first.
+    Sudden death: the unclamped margin (see :func:`margins`) falls below
+    -1e-8 at one of 1500 samples over 6 / min(gamma_a, gamma_b).  Bisection
+    over f, after a 9-point check of the bracket; raises NonMonotoneError
+    where the predicate is not monotone there (Werner near lambda/x2 = 1.9).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    from .states import pw_xstate, werner_xstate
-
-    makers = {"werner": (werner_xstate, 0.25), "pw": (pw_xstate, 1.0 / 3.0)}
-    if state_family not in makers:
+    floors = {"werner": 0.25, "pw": 1.0 / 3.0}  # lowest f of each family
+    if state_family not in floors:
         raise ValueError(f"unknown state family {state_family!r}")
-    make, lo = makers[state_family]
-    hi = 1.0
+    make, lo, hi = FAMILIES[state_family], floors[state_family], 1.0
 
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
-    if t_max is None:
-        t_max = 6.0 / min(r.gamma_a, r.gamma_b)
-    dt = t_max / samples
+    t_max = 6.0 / min(r.gamma_a, r.gamma_b)
+    dt = t_max / 1500
 
     def has_esd(f: float) -> bool:
         traj = evolve_xstate(make(f), r, pr, t_max, dt)
-        return margins(traj.states).min() < -1e-8
+        return bool(margins(traj.states).min() < -1e-8)
 
     grid = np.linspace(lo, hi, 9)
     flags = [has_esd(f) for f in grid]

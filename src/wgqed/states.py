@@ -66,6 +66,10 @@ def pw_xstate(f: float) -> XState:
     return XState.from_matrix(m)
 
 
+#: initial X state of each state family, as a function of its fidelity f
+FAMILIES = {"werner": werner_xstate, "pw": pw_xstate}
+
+
 @dataclass(frozen=True)
 class PrepConfig:
     """Knobs for the three-qubit pseudo-Werner preparation protocol."""

@@ -128,6 +128,20 @@ class TestScan:
     def test_bad_ratio_list(self, capsys):
         assert main(["scan", "--f-range", "0.8", "--lambda-ratios", "x"]) == EXIT_USAGE
 
+    def test_row_matches_evolve_report(self, tmp_path):
+        # this cell dies near 0.028 us and revives near 0.050 us, so every field is set
+        grid = ["--state", "werner", "--t-max", "2", "--sample-dt", "0.001"]
+        scan, evolve = tmp_path / "scan.csv", tmp_path / "evolve.json"
+        assert main(["scan", "--f-range", "0.9", "--lambda-ratios", "1.3", *grid,
+                     "--out", str(scan)]) == EXIT_OK
+        assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.3", *grid,
+                     "--format", "json", "--out", str(evolve)]) == EXIT_OK
+        esd = json.loads(evolve.read_text())["esd"]
+        events = (esd["death_times_us"][0], esd["revival_times_us"][0],
+                  esd["final_concurrence"])
+        assert scan.read_text().splitlines()[1].split(",") == (
+            ["0.9", "1.3", "1", "1"] + ["%.12g" % v for v in events])
+
 
 class TestPrepare:
     def test_exact_mode_reports_unit_fidelity(self, tmp_path):
@@ -335,6 +349,13 @@ class TestConfigFile:
         payload = json.loads(out.read_text())
         assert payload["config"]["dissipative"] is on
         assert ("gate_durations_us" in payload) is on
+
+    def test_non_boolean_switch_names_key_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\ndissipative = maybe\n")
+        assert main(["prepare", "--f", "0.8", "--config", str(cfg)]) == EXIT_USAGE
+        assert (f"config key 'dissipative' in section [run] of {cfg}: Not a boolean: maybe"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("text", [
         "f = 0.9\n",  # no section header

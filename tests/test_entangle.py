@@ -217,3 +217,9 @@ class TestEsdThreshold:
             esd_threshold(2.0, PARAMS, "werner", tol=0.0)
         with pytest.raises(ValueError, match="state family"):
             esd_threshold(2.0, PARAMS, "ghz")
+
+    def test_non_monotone_predicate_is_refused(self):
+        # at lambda/x2 = 1.9, f <= 0.67 and f in 0.83-0.99 die; 0.68-0.82 and 1.0 do not
+        flags = r"\[True, True, True, True, True, False, False, True, False\]"
+        with pytest.raises(NonMonotoneError, match=flags):
+            esd_threshold(1.9, PARAMS, "werner")

@@ -1,4 +1,5 @@
-"""Every name defined in src/ is used by the program or exported by the package."""
+"""Every name defined in src/ is used by the program or exported by the package,
+and every parameter default in src/ is overridden by some call."""
 
 import ast
 import re
@@ -38,3 +39,42 @@ def test_no_name_only_tests_use():
     dead = sorted(f"{module}:{name}" for name, module in defined.items()
                   if name not in used and name not in exported)
     assert not dead, f"defined in src/ but neither used there nor exported: {dead}"
+
+
+def defaulted_params(tree: ast.Module):
+    """(function, parameter, position in a call or None) per parameter with a default.
+
+    A method's self or cls is bound by the attribute call and takes no position.
+    """
+    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, param in enumerate(positional[first:], first):
+            yield fn.name, param.arg, i - (id(fn) in methods)
+        for param, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, param.arg, None
+
+
+def sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether a call may pass param: by keyword, **kwargs, position or *args."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_overridden_somewhere():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    calls = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n)
+             for path in sources for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Call)]
+    unset = sorted(f"{path.name}:{name}({param})" for path in sorted(PACKAGE.glob("*.py"))
+                   for name, param, position in defaulted_params(ast.parse(path.read_text()))
+                   if not any(callee == name and sets(call, param, position)
+                              for callee, call in calls))
+    assert not unset, f"parameters with a default that no call in src/ or tests/ sets: {unset}"
