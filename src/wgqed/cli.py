@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from .dynamics import (SAMPLE_TOL, IntegrationError, Trajectory, XState, evolve_xstate,
-                       xstate_violation)
+from .dynamics import (MAX_SAMPLES, SAMPLE_TOL, IntegrationError, Trajectory, XState,
+                       evolve_xstate, sample_times, xstate_violation)
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
@@ -190,20 +190,46 @@ def time_grid(args, gamma: float) -> tuple[float, float]:
     return t_max, sample_dt
 
 
-def run_trajectory(args, x0: XState, lambda_ratio: float):
-    """(trajectory, concurrence, events) of x0 on the flags' time grid, every sample checked."""
-    p = make_params(args, lambda_ratio)
-    traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
+def checked_events(traj: Trajectory):
+    """(concurrence, events per state) of a trajectory, every sample checked.
+
+    One state, (n_t, 8), gives (n_t,) concurrences and one report; a stack,
+    (n_t, m, 8), gives (n_t, m) and m reports.
+    """
     check_trajectory_invariants(traj)
     c = trajectory_concurrences(traj)
-    return traj, c, detect_events(traj.times, c)
+    return c, [detect_events(traj.times, col) for col in c.reshape(len(c), -1).T]
+
+
+def scan_column(args, x0s: list[XState], lambda_ratio: float, batch: int | None = None) -> list:
+    """Per x0, the events of its trajectory at lambda_ratio, or the error that failed it.
+
+    The states are propagated as stacks of at most ``batch`` states, by
+    default MAX_SAMPLES // n_t (at least 1), so a scan never holds more
+    samples than one trajectory at the cap.  A stack that fails is retried
+    state by state, so each cell names its own failure.
+    """
+    p = make_params(args, lambda_ratio)
+    r = derive_rates(p)
+    t_max, dt = time_grid(args, p.gamma)
+    if batch is None:
+        batch = max(1, MAX_SAMPLES // len(sample_times(t_max, dt)))
+    out = []
+    for k in range(0, len(x0s), batch):
+        cells = x0s[k:k + batch]
+        try:
+            out += checked_events(evolve_xstate(cells, r, p, t_max, dt))[1]
+        except (IntegrationError, InvariantViolation) as exc:
+            out += [exc] if len(cells) == 1 else scan_column(args, cells, lambda_ratio, 1)
+    return out
 
 
 def check_trajectory_invariants(traj: Trajectory):
     bad = xstate_violation(traj.states, SAMPLE_TOL)
     if bad is not None:
         k, reason = bad
-        raise InvariantViolation(f"sample at t = {traj.times[k]:.6g} us: {reason}")
+        sample = np.unravel_index(k, traj.states.shape[:-1])[0]
+        raise InvariantViolation(f"sample at t = {traj.times[sample]:.6g} us: {reason}")
 
 
 def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
@@ -212,12 +238,15 @@ def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
 
 
 def cmd_evolve(args) -> int:
+    x0 = FAMILIES[args.state](args.f)
+    p = make_params(args, args.lambda_ratio)
     try:
-        traj, c, report = run_trajectory(args, FAMILIES[args.state](args.f), args.lambda_ratio)
+        traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
     except IntegrationError:
         if args.out and os.path.exists(args.out):
             os.remove(args.out)
         raise
+    c, (report,) = checked_events(traj)
     rows = trajectory_rows(traj, c)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
@@ -242,15 +271,16 @@ def cmd_scan(args) -> int:
     except ValueError:
         raise ValueError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
     x0s = [FAMILIES[args.state](f) for f in fs]  # a bad f is a usage error
+    # no f, no cell: as before, the ratios and the time grid then go unchecked
+    cells = [scan_column(args, x0s, lr) for lr in ratios] if x0s else []
     rows = []
     failures = []
-    for f, x0 in zip(fs, x0s):  # f-major order
-        for lr in ratios:
-            try:
-                rep = run_trajectory(args, x0, lr)[2]
-            except (IntegrationError, InvariantViolation) as exc:  # marked, scan continues
+    for i, f in enumerate(fs):  # f-major order
+        for lr, column in zip(ratios, cells):
+            rep = column[i]
+            if isinstance(rep, Exception):  # marked, scan continues
                 rows.append([f, lr] + [None] * 5)
-                failures.append((f, lr, str(exc)))
+                failures.append((f, lr, str(rep)))
                 continue
             deaths, revivals = rep.death_times, rep.revival_times
             rows.append([f, lr, int(bool(deaths)), int(bool(revivals)),

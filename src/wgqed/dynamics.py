@@ -2,7 +2,8 @@
 
 Every generator here is constant in time, so rho(t) = expm(L t) rho0
 holds exactly: :func:`propagate` takes one matrix exponential of the
-generator times the sample step and applies it once per sample.
+generator times the sample step and fills the samples by blocked powers of
+it, one matrix product per doubling of the samples known.
 
 Two paths are provided: ``evolve_full`` propagates the vectorized 4x4
 density matrix under the full generator, ``evolve_xstate`` propagates the
@@ -14,6 +15,7 @@ manifold numerically, not by transcribing closed-form kinetic equations.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +174,8 @@ def grid_steps(duration: float, dt: float) -> int:
                      f"{steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
 
 
-def _sample_times(t_max: float, sample_dt: float) -> np.ndarray:
+def sample_times(t_max: float, sample_dt: float) -> np.ndarray:
+    """The checked time grid 0, sample_dt, ... up to t_max."""
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if not (math.isfinite(sample_dt) and 0 < sample_dt <= t_max):
@@ -182,22 +185,31 @@ def _sample_times(t_max: float, sample_dt: float) -> np.ndarray:
 
 
 def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """Samples expm(gen*dt)^k @ y0 for k = 0..n, as an (n + 1, len(y0)) array.
+    """Samples expm(gen*dt)^k @ y0 for k = 0..n, as an (n + 1, *y0.shape) array.
 
-    Exact for a time-independent generator: one matrix exponential
-    (scaling and squaring), then one matrix-vector product per sample.
-    Raises :class:`IntegrationError` at the first non-finite sample.
+    ``y0`` is one state (d,) or a stack (m, d) of them.  Exact for a
+    time-independent generator: one matrix exponential (scaling and
+    squaring) gives S = expm(gen*dt); once samples 0..j-1 are known,
+    samples j..2j-1 are those times S^j, and S^2j = S^j @ S^j is formed
+    only while samples remain.  Raises :class:`IntegrationError` at the
+    first non-finite sample.
     """
     y0 = np.asarray(y0)
     if not np.isfinite(y0).all():
         raise ValueError("initial state must be finite")
-    out = np.empty((n + 1, len(y0)), dtype=np.result_type(gen, y0, 1.0))
+    out = np.empty((n + 1, *y0.shape), dtype=np.result_type(gen, y0, 1.0))
     out[0] = y0
+    m = y0.size // y0.shape[-1]  # states per sample
+    rows = out.reshape(-1, y0.shape[-1])  # sample k is rows[k*m:(k+1)*m]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        step = expm(gen * dt)
-        for k in range(n):
-            out[k + 1] = step @ out[k]
-    finite = np.isfinite(out).all(axis=1)
+        power, j = expm(gen * dt), 1
+        while j <= n:
+            k = min(j, n + 1 - j)
+            np.matmul(rows[:k * m], power.T, out=rows[j * m:(j + k) * m])
+            j += k
+            if j <= n:
+                power = power @ power
+    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
     if not finite.all():
         k = int(np.argmin(finite))
         raise IntegrationError(f"non-finite state at t = {k * dt:.6g} us", (k - 1) * dt)
@@ -208,16 +220,24 @@ def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: floa
                 rates: DerivedRates | None = None) -> Trajectory:
     """Propagate the vectorized density matrix under the full generator."""
     rho0 = np.asarray(rho0, dtype=complex)
-    times = _sample_times(t_max, sample_dt)
+    times = sample_times(t_max, sample_dt)
     ys = propagate(gen, rho0.reshape(-1), sample_dt, len(times) - 1)
     return Trajectory(times=times, states=ys.reshape(-1, 4, 4), rates=rates)
 
 
-def evolve_xstate(x0: XState, r: DerivedRates, p: WaveguideParams, t_max: float,
-                  sample_dt: float) -> Trajectory:
-    """Propagate the eight real X-manifold coordinates (fast path)."""
-    x0.validate()
+def evolve_xstate(x0: XState | Sequence[XState], r: DerivedRates, p: WaveguideParams,
+                  t_max: float, sample_dt: float) -> Trajectory:
+    """Propagate the eight real X-manifold coordinates (fast path).
+
+    One XState gives (n_t, 8) states; a sequence of m of them is
+    propagated as one stack and gives (n_t, m, 8).
+    """
+    single = isinstance(x0, XState)
+    y0 = np.reshape([x.to_vector() for x in ([x0] if single else x0)], (-1, 8))
+    bad = xstate_violation(y0)
+    if bad is not None:
+        raise ValueError(bad[1])
     m = xstate_generator_matrix(build_generator(r, p))
-    times = _sample_times(t_max, sample_dt)
-    ys = propagate(m, x0.to_vector(), sample_dt, len(times) - 1)
+    times = sample_times(t_max, sample_dt)
+    ys = propagate(m, y0[0] if single else y0, sample_dt, len(times) - 1)
     return Trajectory(times=times, states=ys, rates=r)

@@ -121,9 +121,12 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
     """Boundary fidelity below which the trajectory exhibits sudden death.
 
     Sudden death: the unclamped margin (see :func:`margins`) falls below
-    -1e-8 at one of 1500 samples over 6 / min(gamma_a, gamma_b).  Bisection
-    over f, after a 9-point check of the bracket; raises NonMonotoneError
-    where the predicate is not monotone there (Werner near lambda/x2 = 1.9).
+    -1e-8 at one of the 1501 samples (1500 steps) over
+    6 / min(gamma_a, gamma_b).  Both families are affine in f, so one
+    propagation of the bracket's end states gives every trajectory as
+    their interpolation.  Bisection over f, after a 9-point check of the
+    bracket; raises NonMonotoneError where the predicate is not monotone
+    there (Werner near lambda/x2 = 1.9).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -135,11 +138,11 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
-    dt = t_max / 1500
+    ends = evolve_xstate([make(lo), make(hi)], r, pr, t_max, t_max / 1500).states
+    base, slope = ends[:, 0], (ends[:, 1] - ends[:, 0]) / (hi - lo)
 
     def has_esd(f: float) -> bool:
-        traj = evolve_xstate(make(f), r, pr, t_max, dt)
-        return bool(margins(traj.states).min() < -1e-8)
+        return bool(margins(base + (f - lo) * slope).min() < -1e-8)
 
     grid = np.linspace(lo, hi, 9)
     flags = [has_esd(f) for f in grid]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from wgqed.cli import (
 )
 from wgqed.dynamics import MAX_SAMPLES, Trajectory, XState, evolve_xstate
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
+from wgqed.states import werner_xstate
 
 
 class TestParseRange:
@@ -114,6 +116,14 @@ class TestEvolve:
 
 
 class TestScan:
+    GRID = ["--state", "werner", "--t-max", "2", "--sample-dt", "0.001"]
+
+    def scan_rows(self, tmp_path, f_range, ratios):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--f-range", f_range, "--lambda-ratios", ratios, *self.GRID,
+                     "--out", str(out)]) == EXIT_OK
+        return out.read_text().splitlines()[1:]
+
     def test_grid_is_f_major(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(["scan", "--f-range", "0.8:0.9:0.1", "--lambda-ratios",
@@ -129,18 +139,86 @@ class TestScan:
         assert main(["scan", "--f-range", "0.8", "--lambda-ratios", "x"]) == EXIT_USAGE
 
     def test_row_matches_evolve_report(self, tmp_path):
-        # this cell dies near 0.028 us and revives near 0.050 us, so every field is set
-        grid = ["--state", "werner", "--t-max", "2", "--sample-dt", "0.001"]
-        scan, evolve = tmp_path / "scan.csv", tmp_path / "evolve.json"
-        assert main(["scan", "--f-range", "0.9", "--lambda-ratios", "1.3", *grid,
-                     "--out", str(scan)]) == EXIT_OK
-        assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.3", *grid,
-                     "--format", "json", "--out", str(evolve)]) == EXIT_OK
-        esd = json.loads(evolve.read_text())["esd"]
-        events = (esd["death_times_us"][0], esd["revival_times_us"][0],
-                  esd["final_concurrence"])
-        assert scan.read_text().splitlines()[1].split(",") == (
-            ["0.9", "1.3", "1", "1"] + ["%.12g" % v for v in events])
+        # each row of a scan, its f column propagated as one stack, equals at 12
+        # digits the event report of evolve on that cell alone
+        fs, ratios = parse_range("0.7:0.9:0.1"), ["1.3", "1.5"]
+        rows = self.scan_rows(tmp_path, "0.7:0.9:0.1", ",".join(ratios))
+        want = []
+        for f in fs:
+            for lr in ratios:
+                evolve = tmp_path / "evolve.json"
+                assert main(["evolve", "--f", repr(float(f)), "--lambda-ratio", lr, *self.GRID,
+                             "--format", "json", "--out", str(evolve)]) == EXIT_OK
+                esd = json.loads(evolve.read_text())["esd"]
+                deaths, revivals = esd["death_times_us"], esd["revival_times_us"]
+                want.append(csv_line([f, float(lr), int(bool(deaths)), int(bool(revivals)),
+                                      deaths[0] if deaths else None,
+                                      revivals[0] if revivals else None,
+                                      esd["final_concurrence"]]))
+        assert rows == want
+        # f = 0.9 at 1.3 dies near 0.028 us and revives near 0.050 us: every field is set
+        assert rows[4].split(",")[:4] == ["0.9", "1.3", "1", "1"] and "" not in rows[4].split(",")
+
+    def test_column_split_into_batches_matches_single_cells(self, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, wgqed.cli)
+        whole = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3,1.5")
+        singles = {f: self.scan_rows(tmp_path, f, "1.3,1.5") for f in ("0.7", "0.8", "0.9")}
+        assert len(calls) == 2 + 3 * 2
+        monkeypatch.setattr(wgqed.cli, "MAX_SAMPLES", 2 * 2001 + 1)  # two cells per stack
+        calls.clear()
+        batched = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3,1.5")
+        assert calls == [2, 1, 2, 1]
+        assert batched == whole == singles["0.7"] + singles["0.8"] + singles["0.9"]
+
+    def test_failed_cells_are_marked_in_f_major_order(self, capsys):
+        code = main(["scan", "--f-range", "0.8:0.9:0.1", "--lambda-ratios", "1.5,2.0",
+                     "--gamma", "1e300", "--t-max", "1", "--sample-dt", "0.5"])
+        assert code == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["0.8,1.5,,,,,", "0.8,2,,,,,", "0.9,1.5,,,,,",
+                                        "0.9,2,,,,,"]
+        assert err.splitlines() == [
+            f"scan cell f={f} lambda_ratio={lr} failed: non-finite state at t = 0.5 us"
+            for f in ("0.8", "0.9") for lr in ("1.5", "2.0")]
+
+    def test_bad_cell_in_a_stack_is_marked_alone(self, monkeypatch, tmp_path, capsys):
+        # a fault that spoils one state of a stack: the stack is redone cell by
+        # cell, so only that cell is marked, under its own message
+        spoiled = werner_xstate(parse_range("0.7:0.9:0.1")[1])
+
+        def faulty_evolve(x0s, *args):
+            traj = evolve_xstate(x0s, *args)
+            traj.states[7, [x == spoiled for x in x0s], 1] = 1.5
+            return traj
+
+        good = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3")
+        monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--f-range", "0.7:0.9:0.1", "--lambda-ratios", "1.3", *self.GRID,
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert out.read_text().splitlines()[1:] == [good[0], "0.8,1.3,,,,,", good[2]]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("scan cell f=0.7999999999999999 lambda_ratio=1.3 failed: "
+                                 "sample at t = 0.007 us: populations sum to")
+
+    def test_one_propagation_per_ratio(self, monkeypatch):
+        calls = count_calls(monkeypatch, wgqed.cli)
+        assert main(["scan", "--f-range", "0.30:1.00:0.05", "--lambda-ratios", "1.2,1.5,2.0",
+                     "--out", os.devnull]) == EXIT_OK
+        assert calls == [15, 15, 15]
+
+
+def count_calls(monkeypatch, module) -> list[int]:
+    """Wrap module.evolve_xstate; the list gets the number of states of each call."""
+    calls = []
+
+    def counted(x0, *args):
+        calls.append(1 if isinstance(x0, XState) else len(x0))
+        return evolve_xstate(x0, *args)
+
+    monkeypatch.setattr(module, "evolve_xstate", counted)
+    return calls
 
 
 class TestPrepare:
@@ -471,6 +549,13 @@ class TestCheckTrajectoryInvariants:
         states[6, :4] = [0.3, 1.2, -0.5, 0.0]  # unit trace, b and c out of range
         with pytest.raises(InvariantViolation,
                            match=r"^sample at t = 0\.6 us: population b=1\.2 outside \[0, 1\]$"):
+            check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
+
+    def test_names_the_time_of_the_bad_row_of_a_stack(self):
+        times = np.linspace(0.0, 0.9, 10)
+        states = np.tile(XState(a=0.4, b=0.3, c=0.2, d=0.1).to_vector(), (10, 3, 1))
+        states[6, 2, :4] = [0.3, 1.2, -0.5, 0.0]  # flat row 20, past the last sample
+        with pytest.raises(InvariantViolation, match=r"^sample at t = 0\.6 us: population b"):
             check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
 
 

@@ -176,6 +176,20 @@ class TestEvolution:
                   for m, x in zip(full.states, fast.states))
         assert gap < 1e-9
 
+    def test_sequence_gives_a_stack(self):
+        p = params(1.5)
+        r = derive_rates(p)
+        x0s = [random_xstate(np.random.default_rng(k)) for k in range(3)]
+        stack = evolve_xstate(x0s, r, p, 0.5, 0.01)
+        assert stack.states.shape == (51, 3, 8)
+        for i, x0 in enumerate(x0s):
+            alone = evolve_xstate(x0, r, p, 0.5, 0.01)
+            assert alone.states.shape == (51, 8)
+            assert np.max(np.abs(stack.states[:, i] - alone.states)) < 1e-14
+        with pytest.raises(ValueError, match="inner block"):
+            evolve_xstate(x0s + [XState(a=0.25, b=0.25, c=0.25, d=0.25, z=0.5)], r, p,
+                          0.5, 0.01)
+
     def test_rejects_bad_time_grid(self):
         p = params(2.0)
         r = derive_rates(p)
@@ -210,6 +224,55 @@ class TestPropagate:
         assert np.max(np.abs(one_step[-1] - ys[-1])) < 1e-10
         for y in ys:
             XState.from_vector(y).validate()
+
+    @settings(max_examples=25, deadline=None)
+    @given(ratio=st.floats(0.5, 10.0), seed=st.integers(0, 2**32 - 1),
+           m=st.integers(1, 12), n=st.integers(1, 300))
+    def test_stack_equals_each_state_alone(self, ratio, seed, m, n):
+        p = params(ratio, delta_bare=mhz(0.3), g=mhz(0.5))
+        gen = xstate_generator_matrix(build_generator(derive_rates(p), p))
+        rng = np.random.default_rng(seed)
+        x0s = np.array([random_xstate(rng).to_vector() for _ in range(m)])
+        ys = propagate(gen, x0s, 0.01, n)
+        assert ys.shape == (n + 1, m, 8)
+        for i in range(m):
+            assert np.max(np.abs(ys[:, i] - propagate(gen, x0s[i], 0.01, n))) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 1000, 1023, 1024, 1500, 2000])
+    def test_blocked_powers_match_expm_at_every_doubling(self, n):
+        p = params(1.3, delta_bare=mhz(0.2), g=mhz(1.0))
+        m = xstate_generator_matrix(build_generator(derive_rates(p), p))
+        x0 = random_xstate(np.random.default_rng(n)).to_vector()
+        dt = 2.0 / n
+        ys = propagate(m, x0, dt, n)
+        assert ys.shape == (n + 1, 8)
+        ks = {n} | {k for j in range(12) for k in (2**j - 1, 2**j, 2**j + 1) if k <= n}
+        for k in sorted(ks):
+            want = scipy.linalg.expm(m * (k * dt)) @ x0
+            assert np.max(np.abs(ys[k] - want)) < 1e-10, k
+
+    @pytest.mark.parametrize("gen, y0, n, last_time", [
+        (400.0, [[1.0], [0.5]], 3, 1.0),
+        # e^19 * 1e300 is finite, e^20 * 1e300 is not; the first state stays finite
+        (1.0, [[1e-300], [1e300]], 30, 19.0),
+    ])
+    def test_non_finite_stack_raises_with_last_finite_time(self, gen, y0, n, last_time):
+        with pytest.raises(IntegrationError) as exc:
+            propagate(np.array([[gen]]), np.array(y0), 1.0, n)
+        assert exc.value.last_time == last_time
+
+    @pytest.mark.parametrize("ratio", [1.2, 1.3, 2.0])
+    def test_blocked_powers_match_the_step_by_step_loop(self, ratio):
+        # one matrix-vector product per sample is the reference: blocked
+        # powers reorder the round-off but stay far inside 1e-12
+        p = params(ratio)
+        m = xstate_generator_matrix(build_generator(derive_rates(p), p))
+        x0 = random_xstate(np.random.default_rng(5)).to_vector()
+        step = scipy.linalg.expm(m * 0.001)
+        loop = [x0]
+        for _ in range(2000):
+            loop.append(step @ loop[-1])
+        assert np.max(np.abs(propagate(m, x0, 0.001, 2000) - np.array(loop))) < 1e-13
 
     def test_non_finite_sample_raises_with_last_finite_time(self):
         # exp(400) is finite, exp(800) overflows: sample 2 is the first bad one

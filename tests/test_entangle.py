@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgqed.dynamics import Trajectory, XState
+import wgqed.entangle
+from wgqed.dynamics import Trajectory, XState, evolve_xstate
 from wgqed.entangle import (
     NonMonotoneError,
     concurrence_wootters,
@@ -20,7 +21,7 @@ from wgqed.entangle import (
 )
 from wgqed.model import WaveguideParams, derive_rates, mhz
 from wgqed.states import pw_xstate, werner_xstate
-from xstate_oracles import random_xstate
+from xstate_oracles import esd_threshold_by_repropagation, random_xstate
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
 
@@ -217,6 +218,40 @@ class TestEsdThreshold:
             esd_threshold(2.0, PARAMS, "werner", tol=0.0)
         with pytest.raises(ValueError, match="state family"):
             esd_threshold(2.0, PARAMS, "ghz")
+
+    @pytest.mark.parametrize("ratio, family, value", [
+        (1.2, "werner", 0.56787109375),
+        (1.3, "pw", 0.9778645833333334),
+        (1.5, "pw", 0.6731770833333334),
+        (2.0, "werner", 0.71435546875),
+        (2.5, "werner", 0.84912109375),
+        (2.5, "pw", 0.7565104166666666),
+    ])
+    def test_equals_one_propagation_per_fidelity(self, ratio, family, value):
+        # the affine interpolation of two propagations decides every f as a
+        # propagation of that f alone does, down to the last bit of the result
+        got = esd_threshold(ratio, PARAMS, family, tol=0.005)
+        assert got == esd_threshold_by_repropagation(ratio, PARAMS, family, 0.005)
+        assert got == value
+
+    def test_one_propagation_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return evolve_xstate(*args)
+
+        monkeypatch.setattr(wgqed.entangle, "evolve_xstate", counted)
+        esd_threshold(1.3, PARAMS, "pw")
+        assert calls == [[pw_xstate(1.0 / 3.0), pw_xstate(1.0)]]
+
+    @pytest.mark.parametrize("ratio", [1.9, 2.11])
+    def test_non_monotone_flags_match_the_oracle(self, ratio):
+        with pytest.raises(NonMonotoneError) as oracle:
+            esd_threshold_by_repropagation(ratio, PARAMS, "werner", 0.005)
+        with pytest.raises(NonMonotoneError) as got:
+            esd_threshold(ratio, PARAMS, "werner")
+        assert str(got.value) == str(oracle.value)
 
     def test_non_monotone_predicate_is_refused(self):
         # at lambda/x2 = 1.9, f <= 0.67 and f in 0.83-0.99 die; 0.68-0.82 and 1.0 do not

@@ -1,12 +1,18 @@
-"""Test oracles for the X manifold: random X states and the X-state
+"""Test oracles for the X manifold: random X states, the X-state
 right-hand side, both from the full generator and as the hand-transcribed
-kinetic equations of the source text.
+kinetic equations of the source text, and a sudden-death threshold that
+propagates every fidelity it tests on its own.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from wgqed.dynamics import XState
-from wgqed.model import DerivedRates, WaveguideParams, apply_generator, build_generator
+from wgqed.dynamics import XState, evolve_xstate
+from wgqed.entangle import NonMonotoneError, margins
+from wgqed.model import (DerivedRates, WaveguideParams, apply_generator, build_generator,
+                         derive_rates)
+from wgqed.states import FAMILIES
 
 
 def xstate_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
@@ -78,3 +84,40 @@ def random_xstate(rng: np.random.Generator) -> XState:
     z = rng.uniform(0, 1) * np.sqrt(b * c) * np.exp(2j * np.pi * rng.uniform())
     w = rng.uniform(0, 1) * np.sqrt(a * d) * np.exp(2j * np.pi * rng.uniform())
     return XState(a=a, b=b, c=c, d=d, z=z, w=w)
+
+
+def esd_threshold_by_repropagation(lambda_ratio: float, p: WaveguideParams,
+                                   state_family: str, tol: float) -> float:
+    """``esd_threshold`` with one propagation of the family's state per tested f.
+
+    Same window (6 / min(gamma_a, gamma_b), 1500 steps), -1e-8 margin
+    slack, 9-point bracket check and bisection; no affine shortcut.
+    """
+    make = FAMILIES[state_family]
+    lo, hi = {"werner": 0.25, "pw": 1.0 / 3.0}[state_family], 1.0
+    pr = replace(p, lambda_ratio=lambda_ratio)
+    r = derive_rates(pr)
+    t_max = 6.0 / min(r.gamma_a, r.gamma_b)
+
+    def has_esd(f):
+        traj = evolve_xstate(make(f), r, pr, t_max, t_max / 1500)
+        return bool(margins(traj.states).min() < -1e-8)
+
+    grid = np.linspace(lo, hi, 9)
+    flags = [has_esd(f) for f in grid]
+    transitions = sum(a != b for a, b in zip(flags, flags[1:]))
+    if transitions > 1 or (transitions == 1 and not flags[0]):
+        raise NonMonotoneError(f"ESD predicate not monotone on [{lo}, {hi}]: {flags}")
+    if all(flags):
+        return hi
+    if not any(flags):
+        return lo
+    k = flags.index(False)
+    f_lo, f_hi = float(grid[k - 1]), float(grid[k])
+    while f_hi - f_lo > tol:
+        mid = 0.5 * (f_lo + f_hi)
+        if has_esd(mid):
+            f_lo = mid
+        else:
+            f_hi = mid
+    return 0.5 * (f_lo + f_hi)
