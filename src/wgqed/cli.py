@@ -190,6 +190,12 @@ def time_grid(args, gamma: float) -> tuple[float, float]:
     return t_max, sample_dt
 
 
+def cell_inputs(args, lambda_ratio: float) -> tuple:
+    """(rates, params, t_max, sample_dt) of a trajectory at lambda_ratio, from the flags."""
+    p = make_params(args, lambda_ratio)
+    return (derive_rates(p), p, *time_grid(args, p.gamma))
+
+
 def checked_events(traj: Trajectory):
     """(concurrence, events per state) of a trajectory, every sample checked.
 
@@ -201,26 +207,24 @@ def checked_events(traj: Trajectory):
     return c, [detect_events(traj.times, col) for col in c.reshape(len(c), -1).T]
 
 
-def scan_column(args, x0s: list[XState], lambda_ratio: float, batch: int | None = None) -> list:
+def scan_column(args, x0s: list[XState], lambda_ratio: float) -> list:
     """Per x0, the events of its trajectory at lambda_ratio, or the error that failed it.
 
-    The states are propagated as stacks of at most ``batch`` states, by
-    default MAX_SAMPLES // n_t (at least 1), so a scan never holds more
-    samples than one trajectory at the cap.  A stack that fails is retried
-    state by state, so each cell names its own failure.
+    The states are propagated as stacks of at most MAX_SAMPLES // n_t states
+    (at least 1), so a scan never holds more samples than one trajectory at
+    the cap.  A stack that fails is redone state by state, so each cell
+    names its own failure.
     """
-    p = make_params(args, lambda_ratio)
-    r = derive_rates(p)
-    t_max, dt = time_grid(args, p.gamma)
-    if batch is None:
-        batch = max(1, MAX_SAMPLES // len(sample_times(t_max, dt)))
+    inputs = cell_inputs(args, lambda_ratio)
+    batch = max(1, MAX_SAMPLES // len(sample_times(*inputs[2:])))
     out = []
     for k in range(0, len(x0s), batch):
         cells = x0s[k:k + batch]
         try:
-            out += checked_events(evolve_xstate(cells, r, p, t_max, dt))[1]
+            out += checked_events(evolve_xstate(cells, *inputs))[1]
         except (IntegrationError, InvariantViolation) as exc:
-            out += [exc] if len(cells) == 1 else scan_column(args, cells, lambda_ratio, 1)
+            out += [exc] if len(cells) == 1 else [
+                rep for x0 in cells for rep in scan_column(args, [x0], lambda_ratio)]
     return out
 
 
@@ -239,9 +243,8 @@ def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
 
 def cmd_evolve(args) -> int:
     x0 = FAMILIES[args.state](args.f)
-    p = make_params(args, args.lambda_ratio)
     try:
-        traj = evolve_xstate(x0, derive_rates(p), p, *time_grid(args, p.gamma))
+        traj = evolve_xstate(x0, *cell_inputs(args, args.lambda_ratio))
     except IntegrationError:
         if args.out and os.path.exists(args.out):
             os.remove(args.out)

@@ -66,7 +66,9 @@ def pw_xstate(f: float) -> XState:
     return XState.from_matrix(m)
 
 
-#: initial X state of each state family, as a function of its fidelity f
+#: initial X state of each state family, as a function of its fidelity f.
+#: Each must be affine in f: esd_threshold interpolates the propagations of
+#: two fidelities to get the trajectory of any other.
 FAMILIES = {"werner": werner_xstate, "pw": pw_xstate}
 
 

@@ -7,6 +7,7 @@ from wgqed.dynamics import MAX_SAMPLES, grid_steps
 from wgqed.linalg import check_density_matrix, fidelity, partial_trace
 from wgqed.model import mhz
 from wgqed.states import (
+    FAMILIES,
     WAIT_CAP_US,
     PrepConfig,
     RabiConfig,
@@ -18,6 +19,17 @@ from wgqed.states import (
     werner,
     werner_xstate,
 )
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_is_affine_in_f(name):
+    # esd_threshold interpolates two propagations, so every family must be
+    # the straight line through any two of its states
+    make, lo, hi = FAMILIES[name], 0.4, 1.0
+    ends = np.array([make(lo).to_vector(), make(hi).to_vector()])
+    for f in (1.0 / 3.0, 0.5, 0.6789, 0.9):
+        line = ends[0] + (f - lo) * (ends[1] - ends[0]) / (hi - lo)
+        np.testing.assert_allclose(make(f).to_vector(), line, rtol=0, atol=1e-14)
 
 
 class TestWerner:
