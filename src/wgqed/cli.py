@@ -242,13 +242,7 @@ def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
 
 
 def cmd_evolve(args) -> int:
-    x0 = FAMILIES[args.state](args.f)
-    try:
-        traj = evolve_xstate(x0, *cell_inputs(args, args.lambda_ratio))
-    except IntegrationError:
-        if args.out and os.path.exists(args.out):
-            os.remove(args.out)
-        raise
+    traj = evolve_xstate(FAMILIES[args.state](args.f), *cell_inputs(args, args.lambda_ratio))
     c, (report,) = checked_events(traj)
     rows = trajectory_rows(traj, c)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
@@ -363,6 +357,7 @@ def add_shared(sp, *flags: str):
         sp.add_argument(flag, **SHARED_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wgqed", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=GENERATED_BY)
@@ -421,6 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def remove_stale_out(args):
+    """Delete the --out file of a failed run, so no earlier output passes for its result."""
+    if args.out is not None and os.path.isfile(args.out):
+        os.remove(args.out)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -434,10 +435,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationError as exc:
+        remove_stale_out(args)
         print(f"numerical failure: {exc} (last good time {exc.last_time:.6g} us)",
               file=sys.stderr)
         return EXIT_NUMERICAL
     except InvariantViolation as exc:
+        remove_stale_out(args)
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

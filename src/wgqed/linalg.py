@@ -16,7 +16,6 @@ import numpy as np
 STRUCT_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 
 # |0> = ground, |1> = excited: sigma_minus lowers the excitation
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -88,16 +87,14 @@ def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def expm_skew(h: np.ndarray, theta: float, sign: int = +1) -> np.ndarray:
-    """Unitary exp(i * sign * theta * h) for Hermitian h, by spectral decomposition."""
+def expm_skew(h: np.ndarray, theta: float) -> np.ndarray:
+    """Unitary exp(i * theta * h) for Hermitian h, by spectral decomposition."""
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
     if defect > STRUCT_TOL:
         raise ValueError(f"generator is not Hermitian: max asymmetry {defect:.3e}")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(1j * sign * theta * vals)
+    phases = np.exp(1j * theta * vals)
     return (vecs * phases) @ vecs.conj().T
 
 

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, I4, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, tensor
+from .linalg import I2, SIGMA_MINUS, SIGMA_Z, XY_EXCHANGE, tensor
 
 TWO_PI = 2.0 * np.pi
 
 # two-qubit operators, qubit a fast
 SM_A = tensor(I2, SIGMA_MINUS)
-SP_A = tensor(I2, SIGMA_PLUS)
 SZ_A = tensor(I2, SIGMA_Z)
 SM_B = tensor(SIGMA_MINUS, I2)
-SP_B = tensor(SIGMA_PLUS, I2)
 SZ_B = tensor(SIGMA_Z, I2)
 
 
@@ -100,42 +98,34 @@ def build_hamiltonian(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     """Rotating-frame two-qubit Hamiltonian (4x4, Hermitian)."""
     d_a = r.d_omega1 + p.delta_bare / 2
     d_b = r.d_omega2 - p.delta_bare / 2
-    exchange = SM_A @ SP_B + SP_A @ SM_B
-    return d_a * SZ_A / 2 + d_b * SZ_B / 2 + (r.g_x + p.g) * exchange
+    return d_a * SZ_A / 2 + d_b * SZ_B / 2 + (r.g_x + p.g) * XY_EXCHANGE
 
 
-def lindblad_generator(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Superoperator matrix for rho_dot = -i[H,rho] + sum_k rate_k D[A_k]rho.
+def lindblad_generator(h: np.ndarray, ops: list[np.ndarray], rates) -> np.ndarray:
+    """Superoperator matrix for
+    rho_dot = -i[H,rho] + sum_ij G_ij (A_i rho A_j^+ - 1/2 {A_j^+ A_i, rho}).
 
-    Acts on row-major vectorized density matrices: vec(A rho B) =
-    kron(A, B.T) vec(rho).
+    ``rates`` is the Hermitian rate matrix G over the jump operators ``ops``;
+    a diagonal G gives independent channels.  The anticommutators fold into
+    H_eff = H - (i/2) sum_ij G_ij A_j^+ A_i, so the generator is
+    -i (kron(H_eff, I) - kron(I, conj(H_eff))) + sum_ij G_ij kron(A_i, conj(A_j)),
+    zero rates skipped.  Acts on row-major vectorized density matrices:
+    vec(A rho B) = kron(A, B.T) vec(rho).
     """
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, a in jumps:
-        ada = a.conj().T @ a
-        gen += rate * (
-            np.kron(a, a.conj())
-            - 0.5 * np.kron(ada, eye)
-            - 0.5 * np.kron(eye, ada.T)
-        )
+    rates = np.asarray(rates)
+    pairs = list(zip(*np.nonzero(rates)))
+    h_eff = h - 0.5j * sum(rates[i, j] * ops[j].conj().T @ ops[i] for i, j in pairs)
+    eye = np.eye(h.shape[0], dtype=complex)
+    gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for i, j in pairs:
+        gen += rates[i, j] * np.kron(ops[i], ops[j].conj())
     return gen
 
 
 def build_generator(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
-    """Full Lindblad generator (16x16) including the collective decay term."""
-    h = build_hamiltonian(r, p)
-    gen = lindblad_generator(h, [(r.gamma_a, SM_A), (r.gamma_b, SM_B)])
-    # collective term: s-a rho s+b + s-b rho s+a - 1/2 {s+a s-b + s+b s-a, rho}
-    cross = SP_A @ SM_B + SP_B @ SM_A
-    gen += r.gamma_col * (
-        np.kron(SM_A, SM_B.conj())
-        + np.kron(SM_B, SM_A.conj())
-        - 0.5 * np.kron(cross, I4)
-        - 0.5 * np.kron(I4, cross.T)
-    )
-    return gen
+    """Full Lindblad generator (16x16): individual and collective decay over one rate matrix."""
+    return lindblad_generator(build_hamiltonian(r, p), [SM_A, SM_B],
+                              [[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]])
 
 
 def apply_generator(gen: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -33,12 +33,7 @@ def _check_werner_f(f: float):
 
 def werner(f: float) -> np.ndarray:
     """Mixture of the Bell singlet with the maximally mixed state."""
-    _check_werner_f(f)
-    singlet = np.zeros(4, dtype=complex)
-    singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    rho = (1 - f) / 3 * np.eye(4, dtype=complex) \
-        + (4 * f - 1) / 3 * np.outer(singlet, singlet.conj())
-    return rho
+    return werner_xstate(f).to_matrix()
 
 
 def werner_xstate(f: float) -> XState:
@@ -98,9 +93,12 @@ class PrepResult:
     gate_durations_us: tuple[float, float] | None = None
 
 
-# exchange unitaries: identity on the untouched qubit, XY on the active pair
-_U_BA = lambda theta: expm_skew(tensor(I2, XY_EXCHANGE), theta, +1)  # noqa: E731
-_U_CB = lambda theta: expm_skew(tensor(XY_EXCHANGE, I2), theta, +1)  # noqa: E731
+# exchange generators: identity on the untouched qubit, XY on the active pair
+XY_BA = tensor(I2, XY_EXCHANGE)
+XY_CB = tensor(XY_EXCHANGE, I2)
+# amplitude damping of c, b and a, one channel each
+LOWERING_CBA = [tensor_all(SIGMA_MINUS, I2, I2), tensor_all(I2, SIGMA_MINUS, I2),
+                tensor_all(I2, I2, SIGMA_MINUS)]
 
 
 def prepare_pw(cfg: PrepConfig) -> PrepResult:
@@ -118,9 +116,9 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
     rho1 = tensor_all(rho_c, rho_b, rho_a)
 
     if not cfg.with_dissipation:
-        u1 = _U_BA(np.pi / 4)
+        u1 = expm_skew(XY_BA, np.pi / 4)
         rho2 = u1 @ rho1 @ u1.conj().T
-        u2 = _U_CB(np.pi / 6)
+        u2 = expm_skew(XY_CB, np.pi / 6)
         rho3 = u2 @ rho2 @ u2.conj().T
         durations = None
     else:
@@ -128,10 +126,8 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
         t2 = (np.pi / 6) / cfg.g_bc_strength
         # -g * XY so the Lindblad propagator matches the exact-mode phase
         # convention exp(+i theta XY) rho exp(-i theta XY)
-        rho2 = _dissipative_gate(rho1, -cfg.g_strength * tensor(I2, XY_EXCHANGE),
-                                 t1, cfg.gamma_nr)
-        rho3 = _dissipative_gate(rho2, -cfg.g_bc_strength * tensor(XY_EXCHANGE, I2),
-                                 t2, cfg.gamma_nr)
+        rho2 = _dissipative_gate(rho1, -cfg.g_strength * XY_BA, t1, cfg.gamma_nr)
+        rho3 = _dissipative_gate(rho2, -cfg.g_bc_strength * XY_CB, t2, cfg.gamma_nr)
         durations = (t1, t2)
 
     rho_out = partial_trace(rho3, "first")
@@ -139,18 +135,9 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
                       gate_durations_us=durations)
 
 
-def _three_qubit_damping(gamma_nr: float) -> list[tuple[float, np.ndarray]]:
-    ops = [
-        tensor_all(SIGMA_MINUS, I2, I2),
-        tensor_all(I2, SIGMA_MINUS, I2),
-        tensor_all(I2, I2, SIGMA_MINUS),
-    ]
-    return [(gamma_nr, op) for op in ops]
-
-
 def _dissipative_gate(rho: np.ndarray, h: np.ndarray, duration: float,
                       gamma_nr: float) -> np.ndarray:
-    gen = lindblad_generator(h, _three_qubit_damping(gamma_nr))
+    gen = lindblad_generator(h, LOWERING_CBA, gamma_nr * np.eye(3))
     return propagate(gen, rho.reshape(-1).astype(complex), duration, 1)[-1].reshape(8, 8)
 
 
@@ -210,7 +197,7 @@ def mixed_qubit(cfg: RabiConfig) -> MixResult:
     samples = [np.array([[1, 0, 0, 0]], dtype=complex)]  # ground, vectorized
     t_offset = 0.0
     for (h, duration), n in zip(segments, steps):
-        gen = lindblad_generator(h, [(cfg.gamma_nr, SIGMA_MINUS)])
+        gen = lindblad_generator(h, [SIGMA_MINUS], [[cfg.gamma_nr]])
         samples.append(propagate(gen, samples[-1][-1], duration / n, n)[1:])
         times_all.append(t_offset + np.linspace(0.0, duration, n + 1)[1:])
         t_offset += duration

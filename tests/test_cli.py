@@ -516,12 +516,12 @@ class TestExitCodes:
     def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys):
         # finite input, but expm(L dt) overflows for rates near 1e300
         out = tmp_path / "stale.csv"
-        out.write_text("left over from an earlier run\n")
-        code = main(self.EVOLVE + ["--gamma", "1e300", "--t-max", "1",
-                                   "--sample-dt", "0.5", "--out", str(out)])
-        assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
-        assert not out.exists()
+        for argv in (self.EVOLVE + ["--gamma", "1e300", "--t-max", "1", "--sample-dt", "0.5"],
+                     ["mix", "--omega", "1e300", "--pulse", "20", "--sample-dt", "0.5"]):
+            out.write_text("left over from an earlier run\n")
+            assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+            assert "numerical failure" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_out_of_range_fidelity(self, capsys):
         assert main(["evolve", "--state", "pw", "--f", "1.5",
@@ -535,10 +535,13 @@ class TestExitCodes:
             return traj
 
         monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
+        out = tmp_path / "t.csv"
+        out.write_text("left over from an earlier run\n")
         code = main(self.EVOLVE + ["--t-max", "0.5", "--sample-dt", "0.01",
-                                   "--out", str(tmp_path / "t.csv")])
+                                   "--out", str(out)])
         assert code == EXIT_INVARIANT
         assert "sample at t = 0.07 us: populations sum to" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckTrajectoryInvariants:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgqed.dynamics import off_x_leakage
@@ -17,7 +17,8 @@ from wgqed.model import (
     mhz,
 )
 from wgqed.linalg import SIGMA_MINUS, hermiticity_defect
-from xstate_oracles import random_xstate
+from wgqed.states import LOWERING_CBA, XY_BA
+from xstate_oracles import channel_generator, hand_expanded_generator, random_xstate
 
 GAMMA = mhz(5.0)
 GAMMA_NR = mhz(0.03)
@@ -138,12 +139,37 @@ class TestGenerator:
     def test_plain_damping_generator(self):
         # single-qubit amplitude damping: d/dt rho_ee = -rate * rho_ee
         rate = 2.0
-        gen = lindblad_generator(np.zeros((2, 2), dtype=complex),
-                                 [(rate, SIGMA_MINUS)])
+        gen = lindblad_generator(np.zeros((2, 2), dtype=complex), [SIGMA_MINUS], [[rate]])
         rho = np.diag([0.25, 0.75]).astype(complex)
         out = apply_generator(gen, rho)
         assert out[1, 1] == pytest.approx(-rate * 0.75)
         assert out[0, 0] == pytest.approx(rate * 0.75)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(mhz(0.1), mhz(10.0)), gamma_nr=st.floats(0.0, mhz(1.0)),
+           ratio=st.one_of(st.just(2.0), st.floats(0.5, 10.0)),
+           delta_bare=st.floats(-mhz(5.0), mhz(5.0)), g=st.floats(-mhz(5.0), mhz(5.0)))
+    @example(gamma=GAMMA, gamma_nr=GAMMA_NR, ratio=2.0, delta_bare=mhz(1.0), g=mhz(-2.0))
+    @example(gamma=GAMMA, gamma_nr=GAMMA_NR, ratio=1.5, delta_bare=mhz(0.5), g=mhz(3.0))
+    def test_rate_matrix_form_matches_hand_expanded_channels(self, gamma, gamma_nr, ratio,
+                                                              delta_bare, g):
+        # one dissipator over [[G_a, G_col], [G_col, G_b]] against two single-channel
+        # dissipators plus the collective term written out; at ratio 2 G_col is 0.0.
+        # gamma starts at 0.1 MHz so that max|gen| is not a subnormal number, whose
+        # 1e-13 part would round to zero
+        p = WaveguideParams(gamma=gamma, gamma_nr=gamma_nr, lambda_ratio=ratio,
+                            delta_bare=delta_bare, g=g)
+        r = derive_rates(p)
+        gen = build_generator(r, p)
+        ref = hand_expanded_generator(r, p)
+        assert np.max(np.abs(gen - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_diagonal_rates_match_independent_channels(self):
+        # the three-qubit gate generator: XY on b-a, damping of every qubit
+        h = -mhz(10.0) * XY_BA + mhz(0.7) * np.diag(np.arange(8.0))
+        gen = lindblad_generator(h, LOWERING_CBA, GAMMA_NR * np.eye(3))
+        ref = channel_generator(h, [(GAMMA_NR, op) for op in LOWERING_CBA])
+        assert np.max(np.abs(gen - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def min_rate_eigval(r):

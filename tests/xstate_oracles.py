@@ -1,6 +1,7 @@
-"""Test oracles for the X manifold: random X states, the X-state
-right-hand side, both from the full generator and as the hand-transcribed
-kinetic equations of the source text, and a sudden-death threshold that
+"""Test oracles: random X states, the X-state right-hand side, both from
+the full generator and as the hand-transcribed kinetic equations of the
+source text, the Lindblad generator written channel by channel with the
+collective term expanded by hand, and a sudden-death threshold that
 propagates every fidelity it tests on its own.
 """
 
@@ -10,9 +11,36 @@ import numpy as np
 
 from wgqed.dynamics import XState, evolve_xstate
 from wgqed.entangle import NonMonotoneError, margins
-from wgqed.model import (DerivedRates, WaveguideParams, apply_generator, build_generator,
-                         derive_rates)
+from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, apply_generator,
+                         build_generator, build_hamiltonian, derive_rates)
 from wgqed.states import FAMILIES
+
+
+def channel_generator(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Generator of -i[H,rho] + sum_k rate_k D[A_k]rho, one dissipator per channel.
+
+    Row-major vectorization: vec(A rho B) = kron(A, B.T) vec(rho).
+    """
+    eye = np.eye(h.shape[0], dtype=complex)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, a in jumps:
+        ada = a.conj().T @ a
+        gen += rate * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
+                       - 0.5 * np.kron(eye, ada.T))
+    return gen
+
+
+def hand_expanded_generator(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
+    """The 16x16 generator with the individual channels as two dissipators and
+    the collective one expanded by hand:
+    gamma_col (s-a rho s+b + s-b rho s+a - 1/2 {s+a s-b + s+b s-a, rho}).
+    """
+    gen = channel_generator(build_hamiltonian(r, p), [(r.gamma_a, SM_A), (r.gamma_b, SM_B)])
+    eye = np.eye(4, dtype=complex)
+    cross = SM_A.conj().T @ SM_B + SM_B.conj().T @ SM_A
+    gen += r.gamma_col * (np.kron(SM_A, SM_B.conj()) + np.kron(SM_B, SM_A.conj())
+                          - 0.5 * np.kron(cross, eye) - 0.5 * np.kron(eye, cross.T))
+    return gen
 
 
 def xstate_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
