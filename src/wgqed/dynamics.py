@@ -3,7 +3,9 @@
 Every generator here is constant in time, so rho(t) = expm(L t) rho0
 holds exactly: :func:`propagate` takes one matrix exponential of the
 generator times the sample step and fills the samples by blocked powers of
-it, one matrix product per doubling of the samples known.
+it, one matrix product per doubling of the samples known.  The exponential
+is :func:`wgqed.linalg.expm`, Padé scaling and squaring (Higham 2005;
+Al-Mohy & Higham 2009) written in numpy alone.
 
 Two paths are provided: ``evolve_full`` propagates the vectorized 4x4
 density matrix under the full generator, ``evolve_xstate`` propagates the
@@ -19,9 +21,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .linalg import STRUCT_TOL
+from .linalg import STRUCT_TOL, expm
 from .model import DerivedRates, WaveguideParams, apply_generator, build_generator
 
 #: most samples one time grid may hold; admits the longest wait
@@ -188,8 +189,10 @@ def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
     """Samples expm(gen*dt)^k @ y0 for k = 0..n, as an (n + 1, *y0.shape) array.
 
     ``y0`` is one state (d,) or a stack (m, d) of them.  Exact for a
-    time-independent generator: one matrix exponential (scaling and
-    squaring) gives S = expm(gen*dt); once samples 0..j-1 are known,
+    time-independent generator: one matrix exponential gives S = expm(gen*dt)
+    (:func:`wgqed.linalg.expm`: Padé scaling and squaring, Higham, SIAM J.
+    Matrix Anal. Appl. 26(4), 2005, with the scaling of Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31(3), 2009); once samples 0..j-1 are known,
     samples j..2j-1 are those times S^j, and S^2j = S^j @ S^j is formed
     only while samples remain.  Raises :class:`IntegrationError` at the
     first non-finite sample.

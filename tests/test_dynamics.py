@@ -1,5 +1,6 @@
 """Unit tests for X-state containers and master-equation propagation."""
 
+import json
 import os
 import subprocess
 import sys
@@ -285,12 +286,40 @@ class TestPropagate:
             propagate(np.zeros((2, 2)), np.array([1.0, np.nan]), 0.1, 2)
 
 
-def test_import_does_not_load_scipy_integrate():
+# Runs every subcommand with `import scipy` made to fail, then checks that no
+# scipy module was loaded: the program runs on numpy alone.
+NO_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from wgqed.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded}")
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    out = ["--out", str(tmp_path / "out")]
+    runs = [["rates", "--range", "1.2:2.0:0.4", *out],
+            ["evolve", "--f", "0.8", "--lambda-ratio", "1.3", "--t-max", "1", *out],
+            ["scan", "--f-range", "0.6:0.9:0.1", "--lambda-ratios", "1.3,2.0",
+             "--t-max", "1", *out],
+            ["prepare", "--f", "0.8", "--dissipative", *out],
+            ["mix", "--pulse", "35", "--wait", "2", *out],
+            ["cpw", "--width", "20", "--gap", "8", "--freq", "7", *out]]
     env = dict(os.environ, PYTHONPATH=str(Path(wgqed.__file__).parents[1]))
-    code = ("import sys, wgqed, wgqed.cli; "
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
