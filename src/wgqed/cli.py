@@ -3,7 +3,7 @@
 Human-facing rates are linear frequencies in MHz (the 2*pi divided back
 out); internal angular-frequency values appear in JSON under ``raw``.
 Output files are byte-deterministic: '.' decimal, ',' separator, '\\n'
-line endings, 12 significant digits, no timestamps.
+line endings, no timestamps, 12 significant digits in CSV and in JSON the shortest repr.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ EXIT_INVARIANT = 4
 
 GENERATED_BY = f"wgqed {__version__}"
 
-#: CSV rows per write, so a long table is never held as one string
-CSV_BLOCK = 4096
+#: table rows per write, so no table is held as one string (4096 peaked 1 MB higher at 2001)
+CSV_BLOCK = 1024
 
 
 class InvariantViolation(RuntimeError):
@@ -68,9 +68,7 @@ def parse_range(spec: str) -> np.ndarray:
 
 def csv_line(row) -> str:
     """One CSV line: numbers at 12 significant digits, None as an empty field."""
-    if None in row:
-        return ",".join("" if v is None else "%.12g" % v for v in row)
-    return ",".join(["%.12g"] * len(row)) % tuple(row)
+    return ",".join("" if v is None else "%.12g" % v for v in row)
 
 
 def settings(args: argparse.Namespace) -> dict:
@@ -79,24 +77,42 @@ def settings(args: argparse.Namespace) -> dict:
 
 
 def csv_blocks(columns: list[str], rows):
-    """CSV text in blocks of CSV_BLOCK rows, the header leading the first."""
-    head = [",".join(columns)]
-    for k in range(0, max(len(rows), 1), CSV_BLOCK):
-        yield "\n".join(head + [csv_line(row) for row in rows[k:k + CSV_BLOCK]]) + "\n"
-        head = []
+    """The header, then CSV_BLOCK rows at a time: an array's by one %, a list's by csv_line."""
+    yield ",".join(columns) + "\n"
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    for k in range(0, len(rows), CSV_BLOCK):
+        block = rows[k:k + CSV_BLOCK]
+        yield (line * len(block) % tuple(block.ravel().tolist()) if isinstance(rows, np.ndarray)
+               else "".join(csv_line(row) + "\n" for row in block))
+
+
+def json_blocks(payload: dict):
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", with "samples" in blocks."""
+    table = payload.pop("samples")
+    assert max(payload) < "samples"  # so the array takes the place of the closing "\n}"
+    yield json.dumps(payload, indent=2, sort_keys=True)[:-2] + ',\n  "samples": ['
+    row = "\n    [\n      " + ",\n      ".join(["%s"] * table.shape[1]) + "\n    ]"
+    for k in range(0, len(table), CSV_BLOCK):
+        block = table[k:k + CSV_BLOCK]
+        values = block.ravel().tolist()  # %s of a float is float.__repr__, as in json
+        for i in np.flatnonzero(~np.isfinite(block)):  # but json spells NaN and Infinity
+            values[i] = json.dumps(values[i])
+        yield ("," if k else "") + ",".join([row] * len(block)) % tuple(values)
+    yield "\n  ]\n}\n" if len(table) else "]\n}\n"
 
 
 def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
     """Write a result to --out, or stdout.
 
-    JSON, for --format json or a result with no table, is
-    {"generated_by", "config", **fields}, where config holds every setting but
-    --out and --format.  CSV is the columns, then one line per row.
+    JSON, for --format json or a result with no table, is {"generated_by", "config",
+    **fields}, config holding every setting but --out and --format.  CSV is the columns,
+    then one line per row.  A table free of None is an (n, k) array, also fields["samples"].
     """
     if columns is None or args.format == "json":
         config = {k: v for k, v in settings(args).items() if k not in ("out", "format")}
         payload = {"generated_by": GENERATED_BY, "config": config, **fields}
-        blocks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+        blocks = (json_blocks(payload) if isinstance(fields.get("samples"), np.ndarray)
+                  else [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     else:
         blocks = csv_blocks(columns, rows)
     if args.out is None:
@@ -178,8 +194,7 @@ def rates_dict(r) -> dict:
     out = {k: v / TWO_PI for k, v in d.items() if k != "phi"}
     out["phi_rad"] = d["phi"]
     out["units"] = "MHz (linear frequency)"
-    out["raw"] = {k: v for k, v in d.items()}
-    out["raw"]["units"] = "rad/us (angular frequency); phi in rad"
+    out["raw"] = {**d, "units": "rad/us (angular frequency); phi in rad"}
     return out
 
 
@@ -236,15 +251,10 @@ def check_trajectory_invariants(traj: Trajectory):
         raise InvariantViolation(f"sample at t = {traj.times[sample]:.6g} us: {reason}")
 
 
-def trajectory_rows(traj: Trajectory, c: np.ndarray) -> list[list[float]]:
-    """One [t, C, a, b, c, d, re_z, im_z, re_w, im_w] row per sample."""
-    return np.column_stack([traj.times, c, traj.states]).tolist()
-
-
 def cmd_evolve(args) -> int:
     traj = evolve_xstate(FAMILIES[args.state](args.f), *cell_inputs(args, args.lambda_ratio))
     c, (report,) = checked_events(traj)
-    rows = trajectory_rows(traj, c)
+    table = np.column_stack([traj.times, c, traj.states])
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
         "rates": rates_dict(traj.rates),
@@ -254,8 +264,8 @@ def cmd_evolve(args) -> int:
             "final_concurrence": report.final_concurrence,
         },
         "columns": columns,
-        "samples": rows,
-    }, columns, rows)
+        "samples": table,
+    }, columns, table)
     return EXIT_OK
 
 
@@ -313,9 +323,9 @@ def cmd_mix(args) -> int:
                      final_flip=args.flip, sample_dt=args.sample_dt)
     res = mixed_qubit(cfg)
     columns = ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
-    rows = list(zip(res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg))
-    emit(args, {"f_achieved": res.f_achieved, "columns": columns, "samples": rows},
-         columns, rows)
+    table = np.column_stack([res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg])
+    emit(args, {"f_achieved": res.f_achieved, "columns": columns, "samples": table},
+         columns, table)
     if args.format == "csv" and args.out:  # stdout stays one CSV table
         print(f"f_achieved = {res.f_achieved:.12g}")
     return EXIT_OK

@@ -126,7 +126,7 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
     propagation of the bracket's end states gives every trajectory as
     their interpolation.  Bisection over f, after a 9-point check of the
     bracket; raises NonMonotoneError where the predicate is not monotone
-    there (Werner near lambda/x2 = 1.9).
+    there (Werner near lambda/x2 = 1.9 and 2.11).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")

@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import wgqed.cli
 from wgqed.cli import (
@@ -19,12 +24,14 @@ from wgqed.cli import (
     EXIT_USAGE,
     InvariantViolation,
     check_trajectory_invariants,
+    csv_blocks,
     csv_line,
+    json_blocks,
     main,
     parse_range,
-    trajectory_rows,
 )
 from wgqed.dynamics import MAX_SAMPLES, Trajectory, XState, evolve_xstate
+from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
 from wgqed.states import werner_xstate
 
@@ -285,6 +292,22 @@ class TestCpw:
         assert float(row[0]) == pytest.approx(48.7, abs=0.5)
 
 
+#: one small run of each subcommand; the scan has a cell with no death (a None)
+BYTE_RUNS = {
+    "rates": ["rates", "--range", "1.2:2.0:0.1"],
+    "evolve": ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "0.1",
+               "--sample-dt", "0.01"],
+    "scan": ["scan", "--f-range", "0.8:0.9:0.1", "--lambda-ratios", "1.2,3.0",
+             "--t-max", "0.5", "--sample-dt", "0.005"],
+    "prepare": ["prepare", "--f", "0.8", "--dissipative"],
+    "mix": ["mix", "--gamma-nr", "3", "--pulse", "2", "--wait", "0.05", "--sample-dt", "0.1"],
+    "cpw": ["cpw", "--width", "20", "--gap", "8", "--freq", "7"],
+}
+#: floats whose text json and %.12g must get exactly right
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e-05, 1e16, 0.1 + 0.2, 1e-7,
+                  123456789012.5, -1.5e300, float("nan"), float("inf"), float("-inf")]
+
+
 class TestEmit:
     @pytest.mark.parametrize("argv, flags", [
         (["rates", "--range", "1.5"], {"range", "gamma", "gamma_nr"}),
@@ -338,6 +361,53 @@ class TestEmit:
         expected = ",".join("" if v is None else f"{float(v):.12g}" for v in row)
         assert csv_line(row) == expected
         assert csv_line(tuple(row)) == expected
+
+    @pytest.mark.parametrize("argv, fmt", [
+        (argv, fmt) for argv in BYTE_RUNS.values() for fmt in ("csv", "json")
+        if argv[0] != "prepare" or fmt == "json"  # prepare writes JSON only
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_output_is_its_own_reformatting(self, argv, fmt, tmp_path):
+        out = tmp_path / "out"
+        flags = [] if argv[0] == "prepare" else ["--format", fmt]
+        assert main(argv + flags + ["--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        if fmt == "json":
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            return
+        header, *lines = text.split("\n")[:-1]
+        assert header and lines and text.endswith("\n")
+        for line in lines:
+            assert line == csv_line([float(v) if v else None for v in line.split(",")])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, block", [
+        (command, block) for command, n_t in (("evolve", 11), ("mix", 23))
+        for block in (1, 2, 3, n_t - 1, n_t, n_t + 1)])
+    def test_array_tables_write_the_same_bytes_in_any_block(self, command, block, fmt,
+                                                            monkeypatch, tmp_path):
+        argv = BYTE_RUNS[command] + ["--format", fmt]
+        whole, blocked = tmp_path / "whole", tmp_path / "blocked"
+        assert main(argv + ["--out", str(whole)]) == EXIT_OK
+        monkeypatch.setattr(wgqed.cli, "CSV_BLOCK", block)
+        assert main(argv + ["--out", str(blocked)]) == EXIT_OK
+        assert blocked.read_bytes() == whole.read_bytes()
+        if fmt == "csv":  # the header and n_t rows: block sizes around n_t as meant
+            assert len(whole.read_text().splitlines()) == {"evolve": 11, "mix": 23}[command] + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 11)),
+                  elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())),
+           st.integers(1, 10))
+    def test_array_formatter_matches_json_and_csv_line(self, table, block):
+        fields = {"generated_by": "wgqed", "config": {"t_max": 0.5, "out": None},
+                  "columns": [f"x{k}" for k in range(table.shape[1])], "f_achieved": -0.0}
+        with mock.patch.object(wgqed.cli, "CSV_BLOCK", block):
+            as_json = "".join(json_blocks({**fields, "samples": table}))
+            as_csv = "".join(csv_blocks(fields["columns"], table))
+        assert as_json == json.dumps({**fields, "samples": table.tolist()},
+                                     indent=2, sort_keys=True) + "\n"
+        assert as_csv == "".join(line + "\n" for line in [",".join(fields["columns"])]
+                                 + [csv_line(row) for row in table.tolist()])
 
 
 class TestConfigFile:
@@ -562,10 +632,50 @@ class TestCheckTrajectoryInvariants:
             check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
 
 
-def test_trajectory_rows_follow_the_header():
-    x = XState(a=0.4, b=0.3, c=0.2, d=0.1, z=0.01 - 0.02j, w=0.03 + 0.04j)
-    traj = Trajectory(times=np.array([0.0, 0.5]), states=np.array([x.to_vector()] * 2),
-                      rates=None)
-    rows = trajectory_rows(traj, np.array([0.7, 0.6]))
-    assert rows[1] == [0.5, 0.6, 0.4, 0.3, 0.2, 0.1, 0.01, -0.02, 0.03, 0.04]
-    assert all(type(v) is float for v in rows[1])
+def test_evolve_samples_follow_the_header(tmp_path):
+    """Each written row is [t, C, a, b, c, d, re_z, im_z, re_w, im_w] of the library's
+    trajectory: exact in JSON, csv_line of the same floats in CSV."""
+    argv = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "0.1",
+            "--sample-dt", "0.01"]
+    p = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=1.5)
+    traj = evolve_xstate(werner_xstate(0.9), derive_rates(p), p, 0.1, 0.01)
+    rows = np.column_stack([traj.times, trajectory_concurrences(traj), traj.states]).tolist()
+    csv_out, json_out = tmp_path / "traj.csv", tmp_path / "traj.json"
+    assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == EXIT_OK
+    payload = json.loads(json_out.read_text())
+    assert payload["columns"] == "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
+    assert payload["samples"] == rows
+    assert csv_out.read_text() == "".join(
+        line + "\n" for line in [",".join(payload["columns"])] + [csv_line(r) for r in rows])
+
+
+#: a child that prints its own peak RSS in kB after one CLI run.  Not ru_maxrss: after
+#: exec, Linux keeps the spawning process's peak there, so it would read pytest's size.
+PEAK_RSS = """
+import sys
+from wgqed.cli import main
+assert main(sys.argv[1:]) == 0
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_trajectory_output_has_bounded_memory(fmt, tmp_path):
+    """10^5 + 1 samples: the output is formatted in blocks, never as one list or string.
+
+    Formatting the whole table at once peaked at 95 MB (csv) and 200 MB (json);
+    block by block both stay near 50 MB, most of it numpy and the interpreter.
+    """
+    out = tmp_path / f"traj.{fmt}"
+    env = dict(os.environ, PYTHONPATH=str(Path(wgqed.cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, "evolve", "--f", "0.9", "--lambda-ratio", "1.5",
+         "--t-max", "1", "--sample-dt", "1e-5", "--format", fmt, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 92
+    with out.open() as fh:  # one line per row in CSV, one "    [" line per row in JSON
+        rows = sum(1 for line in fh if fmt == "csv" or line == "    [\n")
+    assert rows == 10**5 + 1 + (fmt == "csv")
