@@ -77,12 +77,14 @@ def settings(args: argparse.Namespace) -> dict:
 
 
 def csv_blocks(columns: list[str], rows):
-    """The header, then CSV_BLOCK rows at a time: an array's by one %, a list's by csv_line."""
+    """The header, then CSV_BLOCK rows at a time: column arrays' by one %, a list's by csv_line."""
     yield ",".join(columns) + "\n"
     line = ",".join(["%.12g"] * len(columns)) + "\n"
-    for k in range(0, len(rows), CSV_BLOCK):
-        block = rows[k:k + CSV_BLOCK]
-        yield (line * len(block) % tuple(block.ravel().tolist()) if isinstance(rows, np.ndarray)
+    arrays = isinstance(rows, tuple)
+    for k in range(0, len(rows[0]) if arrays else len(rows), CSV_BLOCK):
+        block = (np.column_stack([col[k:k + CSV_BLOCK] for col in rows]) if arrays
+                 else rows[k:k + CSV_BLOCK])
+        yield (line * len(block) % tuple(block.ravel().tolist()) if arrays
                else "".join(csv_line(row) + "\n" for row in block))
 
 
@@ -91,14 +93,14 @@ def json_blocks(payload: dict):
     table = payload.pop("samples")
     assert max(payload) < "samples"  # so the array takes the place of the closing "\n}"
     yield json.dumps(payload, indent=2, sort_keys=True)[:-2] + ',\n  "samples": ['
-    row = "\n    [\n      " + ",\n      ".join(["%s"] * table.shape[1]) + "\n    ]"
-    for k in range(0, len(table), CSV_BLOCK):
-        block = table[k:k + CSV_BLOCK]
+    row = "\n    [\n      " + ",\n      ".join(["%s"] * len(table)) + "\n    ]"
+    for k in range(0, len(table[0]), CSV_BLOCK):
+        block = np.column_stack([col[k:k + CSV_BLOCK] for col in table])
         values = block.ravel().tolist()  # %s of a float is float.__repr__, as in json
         for i in np.flatnonzero(~np.isfinite(block)):  # but json spells NaN and Infinity
             values[i] = json.dumps(values[i])
         yield ("," if k else "") + ",".join([row] * len(block)) % tuple(values)
-    yield "\n  ]\n}\n" if len(table) else "]\n}\n"
+    yield "\n  ]\n}\n" if len(table[0]) else "]\n}\n"
 
 
 def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
@@ -106,12 +108,12 @@ def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
 
     JSON, for --format json or a result with no table, is {"generated_by", "config",
     **fields}, config holding every setting but --out and --format.  CSV is the columns,
-    then one line per row.  A table free of None is an (n, k) array, also fields["samples"].
+    then one line per row.  A None-free table is a tuple of column arrays, also fields["samples"].
     """
     if columns is None or args.format == "json":
         config = {k: v for k, v in settings(args).items() if k not in ("out", "format")}
         payload = {"generated_by": GENERATED_BY, "config": config, **fields}
-        blocks = (json_blocks(payload) if isinstance(fields.get("samples"), np.ndarray)
+        blocks = (json_blocks(payload) if isinstance(fields.get("samples"), tuple)
                   else [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     else:
         blocks = csv_blocks(columns, rows)
@@ -129,6 +131,8 @@ def with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
     The user's own flags come after them, so they win in either spelling.
     """
+    if not any(a == "--config" or a.startswith("--config=") for a in argv):
+        return argv  # the only tokens the pre-parser acts on
     pre = argparse.ArgumentParser(prog="wgqed", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -219,7 +223,7 @@ def checked_events(traj: Trajectory):
     """
     check_trajectory_invariants(traj)
     c = trajectory_concurrences(traj)
-    return c, [detect_events(traj.times, col) for col in c.reshape(len(c), -1).T]
+    return c, detect_events(traj.times, c.reshape(len(c), -1))
 
 
 def scan_column(args, x0s: list[XState], lambda_ratio: float) -> list:
@@ -254,7 +258,7 @@ def check_trajectory_invariants(traj: Trajectory):
 def cmd_evolve(args) -> int:
     traj = evolve_xstate(FAMILIES[args.state](args.f), *cell_inputs(args, args.lambda_ratio))
     c, (report,) = checked_events(traj)
-    table = np.column_stack([traj.times, c, traj.states])
+    table = (traj.times, c, *traj.states.T)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
         "rates": rates_dict(traj.rates),
@@ -318,12 +322,14 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    if not math.isfinite(args.pulse + args.wait):  # the last sample time
+        raise ValueError(f"--pulse + --wait must be finite, got {args.pulse} + {args.wait}")
     cfg = RabiConfig(omega=mhz(args.omega), gamma_nr=mhz(args.gamma_nr),
                      pulse_duration=args.pulse, wait_duration=args.wait,
                      final_flip=args.flip, sample_dt=args.sample_dt)
     res = mixed_qubit(cfg)
     columns = ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
-    table = np.column_stack([res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg])
+    table = (res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg)
     emit(args, {"f_achieved": res.f_achieved, "columns": columns, "samples": table},
          columns, table)
     if args.format == "csv" and args.out:  # stdout stays one CSV table

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import STRUCT_TOL, expm
-from .model import DerivedRates, WaveguideParams, apply_generator, build_generator
+from .model import DerivedRates, WaveguideParams, build_generator
 
 #: most samples one time grid may hold; admits the longest wait
 #: ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
@@ -92,23 +92,27 @@ class XState:
 
 
 def off_x_leakage(m: np.ndarray) -> float:
-    """Largest magnitude among elements outside the diagonal/anti-diagonal."""
-    mask = np.ones((4, 4), dtype=bool)
-    for i in range(4):
-        mask[i, i] = False
-        mask[i, 3 - i] = False
-    return float(np.max(np.abs(m[mask])))
+    """Largest magnitude among elements outside the diagonal/anti-diagonal (X_IN's support)."""
+    return float(np.max(np.abs(m[~X_IN.any(axis=1).reshape(4, 4)])))
 
 
 def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str] | None:
-    """(index, reason) of the first row of an (..., 8) X-state array that is
-    not a density matrix, or None.  The reason is the first failing check of:
-    finite elements, unit trace, populations in [0, 1], |z|^2 <= bc, |w|^2 <= ad.
+    """(index, reason) of the first row of an (..., 8) X-state array that is not a density
+    matrix, or None: the first failing check of finite elements, unit trace, populations in
+    [0, 1], |z|^2 <= bc, |w|^2 <= ad.  Reductions of whole columns certify first (NaN and inf
+    fail them; |z|^2 - bc in squares must be tol/2 - 1e-14 under the bound, room for its
+    round-off against hypot's square); only an array they do not certify is diagnosed by row.
     """
     xs = np.reshape(xs, (-1, 8))
     a, b, c, d, zr, zi, wr, wi = xs.T
-    finite = np.isfinite(xs)
     with np.errstate(invalid="ignore", over="ignore"):
+        if not len(xs) or (np.max(np.abs(a + b + c + d - 1.0)) <= tol
+                           and np.min(np.minimum(np.minimum(a, b), np.minimum(c, d))) >= -tol
+                           and np.max(np.maximum(np.maximum(a, b), np.maximum(c, d))) <= 1 + tol
+                           and np.max(zr * zr + zi * zi - b * c) <= tol / 2 - 1e-14
+                           and np.max(wr * wr + wi * wi - a * d) <= tol / 2 - 1e-14):
+            return None
+        finite = np.isfinite(xs)
         bad = np.column_stack([
             ~finite[:, :4], ~(finite[:, 4] & finite[:, 5]), ~(finite[:, 6] & finite[:, 7]),
             np.abs(a + b + c + d - 1.0) > tol, (xs[:, :4] < -tol) | (xs[:, :4] > 1 + tol),
@@ -146,20 +150,19 @@ class Trajectory:
             raise ValueError("times must be strictly ascending")
 
 
+#: X coordinates to vec(rho) (16x8), and vec(rho) to X coordinates as the real part (8x16)
+X_IN = np.stack([XState.from_vector(e).to_matrix().reshape(-1) for e in np.eye(8)], axis=1)
+X_OUT = np.zeros((8, 16), dtype=complex)
+X_OUT[range(8), [0, 5, 10, 15, 6, 6, 3, 3]] = [1, 1, 1, 1, 1, -1j, 1, -1j]  # Im x = Re(-1j x)
+
+
 def xstate_generator_matrix(gen: np.ndarray) -> np.ndarray:
     """Restrict a 16x16 generator to the X manifold as a real 8x8 matrix.
 
-    Exact because the Hamiltonian and every jump term map X-shape
-    matrices to X-shape matrices.
+    Exact because the Hamiltonian and every jump term keep X-shape matrices X-shaped; each
+    entry of (X_OUT @ gen @ X_IN).real sums the same two products as gen on a unit X state.
     """
-    m = np.zeros((8, 8))
-    for k in range(8):
-        e = np.zeros(8)
-        e[k] = 1.0
-        rho = XState.from_vector(e).to_matrix()
-        out = apply_generator(gen, rho)
-        m[:, k] = XState.from_matrix(out).to_vector()
-    return m
+    return (X_OUT @ gen @ X_IN).real
 
 
 def grid_steps(duration: float, dt: float) -> int:

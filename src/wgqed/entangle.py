@@ -82,19 +82,22 @@ def trajectory_concurrences(traj: Trajectory) -> np.ndarray:
     return np.clip(margins(traj.states), 0.0, 1.0)
 
 
-def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport:
+def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport | list[EsdReport]:
     """Locate deaths (C <= DEAD_EPS for >= DEATH_HOLD samples) and revivals.
 
-    ``c`` is the concurrence sampled at ``times``.  A death is a run of at
-    least DEATH_HOLD dead samples that follows a live one; it revives at the
-    first live sample after the run.  Event times are refined by linear
-    interpolation of C between the bracketing samples.  A concurrence that
-    only decays below DEAD_EPS counts as a death here: this is not the
-    negative-margin sudden death of :func:`esd_threshold`.
+    ``c`` is the concurrence sampled at ``times``, or an (n_t, m) stack of m series, which
+    gives m reports (a series that never crosses DEAD_EPS is not searched).  A death is a run
+    of at least DEATH_HOLD dead samples that follows a live one; it revives at the first live
+    sample after the run.  Event times are refined by linear interpolation of C between the
+    bracketing samples.  A concurrence that only decays below DEAD_EPS counts as a death
+    here: this is not the negative-margin sudden death of :func:`esd_threshold`.
     """
     if len(times) < 2:
         raise ValueError("trajectory needs at least 2 samples")
     t, c, n = np.asarray(times), np.asarray(c), len(c)
+    if c.ndim == 2:
+        return [detect_events(t, col) if crosses else EsdReport(final_concurrence=float(col[-1]))
+                for col, crosses in zip(c.T, np.diff(c <= DEAD_EPS, axis=0).any(axis=0))]
     step = np.diff((c <= DEAD_EPS).astype(np.int8))
     starts = np.flatnonzero(step == 1) + 1  # first dead sample of a run
     ends = np.append(np.flatnonzero(step == -1) + 1, n)  # first live one after it

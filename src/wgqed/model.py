@@ -116,9 +116,9 @@ def lindblad_generator(h: np.ndarray, ops: list[np.ndarray], rates) -> np.ndarra
     pairs = list(zip(*np.nonzero(rates)))
     h_eff = h - 0.5j * sum(rates[i, j] * ops[j].conj().T @ ops[i] for i, j in pairs)
     eye = np.eye(h.shape[0], dtype=complex)
-    gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    gen = -1j * (tensor(h_eff, eye) - tensor(eye, h_eff.conj()))
     for i, j in pairs:
-        gen += rates[i, j] * np.kron(ops[i], ops[j].conj())
+        gen += rates[i, j] * tensor(ops[i], ops[j].conj())
     return gen
 
 
@@ -126,9 +126,4 @@ def build_generator(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     """Full Lindblad generator (16x16): individual and collective decay over one rate matrix."""
     return lindblad_generator(build_hamiltonian(r, p), [SM_A, SM_B],
                               [[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]])
-
-
-def apply_generator(gen: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    dim = rho.shape[0]
-    return (gen @ rho.reshape(-1)).reshape(dim, dim)
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -402,8 +402,8 @@ class TestEmit:
         fields = {"generated_by": "wgqed", "config": {"t_max": 0.5, "out": None},
                   "columns": [f"x{k}" for k in range(table.shape[1])], "f_achieved": -0.0}
         with mock.patch.object(wgqed.cli, "CSV_BLOCK", block):
-            as_json = "".join(json_blocks({**fields, "samples": table}))
-            as_csv = "".join(csv_blocks(fields["columns"], table))
+            as_json = "".join(json_blocks({**fields, "samples": tuple(table.T)}))
+            as_csv = "".join(csv_blocks(fields["columns"], tuple(table.T)))
         assert as_json == json.dumps({**fields, "samples": table.tolist()},
                                      indent=2, sort_keys=True) + "\n"
         assert as_csv == "".join(line + "\n" for line in [",".join(fields["columns"])]
@@ -523,6 +523,36 @@ class TestConfigFile:
         assert main(["rates", "--range", "1.5", "--config", "run.ini"]) == EXIT_OK
         assert (tmp_path / "a%b.csv").read_text().startswith("lambda_ratio,")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(["evolve", "scan", "--f", "0.9", "--out", "-",
+                                               "--configs", "--out=--config", "--conf",
+                                               "--config-file", "-config", "config"]),
+                              st.text(max_size=12)), max_size=8))
+    def test_argv_without_config_is_returned_as_is(self, argv):
+        assume(not any(a == "--config" or a.startswith("--config=") for a in argv))
+        assert wgqed.cli.with_config(wgqed.cli.build_parser(), argv) is argv
+
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"]])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_config_applies_in_either_spelling_and_place(self, spelling, where, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nt-max = 0.5\nsample-dt = 0.01\n")
+        config = [token.format(cfg) for token in spelling]
+        flags = ["--f", "0.9", "--lambda-ratio", "1.5", "--out", str(tmp_path / "out.csv")]
+        argv = ["evolve"] + (config + flags if where == "first" else flags + config)
+        assert main(argv) == EXIT_OK
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 52
+
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"]])
+    def test_config_before_the_subcommand_is_refused(self, spelling, tmp_path):
+        # --config is a flag of each subcommand, not of the program
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nt-max = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main([token.format(cfg) for token in spelling]
+                 + ["evolve", "--f", "0.9", "--lambda-ratio", "1.5"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_json_config_block_matches_flags(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[run]\nstate = pw\nlambda-ratio = 1.5\nt-max = 0.5\n"
@@ -565,6 +595,15 @@ class TestExitCodes:
     def test_bad_input_is_usage_error(self, argv, field, capsys):
         assert main(argv) == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    def test_infinite_mix_sample_time_is_usage_error(self, tmp_path, capsys):
+        # every flag finite, but the last sample time pulse + wait overflows
+        out = tmp_path / "mix.json"
+        assert main(["mix", "--pulse", "1e308", "--wait", "1e308", "--sample-dt", "1e308",
+                     "--omega", "0", "--gamma-nr", "0", "--format", "json",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "--pulse + --wait must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["prepare", "--f", "0.8", "--gamma", "5"],

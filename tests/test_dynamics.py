@@ -1,5 +1,6 @@
 """Unit tests for X-state containers and master-equation propagation."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import wgqed
 from wgqed.dynamics import (
+    SAMPLE_TOL,
     IntegrationError,
     Trajectory,
     XState,
@@ -25,8 +27,16 @@ from wgqed.dynamics import (
     xstate_generator_matrix,
     xstate_violation,
 )
-from wgqed.model import WaveguideParams, apply_generator, build_generator, derive_rates, mhz
-from xstate_oracles import kinetics_discrepancy, random_xstate, xstate_rhs
+from wgqed.linalg import STRUCT_TOL
+from wgqed.model import WaveguideParams, build_generator, derive_rates, mhz
+from xstate_oracles import (
+    apply_generator,
+    kinetics_discrepancy,
+    random_xstate,
+    xstate_generator_by_basis,
+    xstate_rhs,
+    xstate_violation_by_rows,
+)
 
 GAMMA = mhz(5.0)
 GAMMA_NR = mhz(0.03)
@@ -34,6 +44,45 @@ GAMMA_NR = mhz(0.03)
 
 def params(ratio, **kw):
     return WaveguideParams(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=ratio, **kw)
+
+
+#: where a row sits against a bound: -tol, -tol/2, tol/2 or tol from it, plus round-off
+TOL_STEPS = (-1.0, -0.5, 0.5, 1.0)
+NUDGES = (-1e-15, -2e-16, 0.0, 2e-16, 1e-15)
+EDGE_KINDS = ("valid", "trace", "low", "high", "z", "w")
+
+
+def edge_row(kind, tol, step, nudge, k=0, cuts=(16, 32, 48), angle=0.7):
+    """An X state that is valid, or has one condition (trace, population k low or high,
+    |z|^2 - bc or |w|^2 - ad) at step * tol + nudge from its bound and the others kept.
+    Populations from cuts are multiples of 1/64, so that their sum is exactly 1 and the
+    trace check does not mask the others even at tol = 0."""
+    x = np.zeros(8)
+    x[:4] = np.diff([0, *sorted(cuts), 64]) / 64
+    at = step * tol + nudge
+    if kind in ("low", "high"):  # the other populations keep the trace at 1
+        x[:4] = 0.0
+        x[k] = -tol + nudge if kind == "low" else 1.0 + tol + nudge
+        x[[(k + 1) % 4, (k + 2) % 4]] = (1.0 - x[k]) / 2
+        return x
+    if kind == "trace":
+        x[k] += at
+    for name, i, j, re in (("z", 1, 2, 4), ("w", 0, 3, 6)):  # |z|^2 from bc, |w|^2 from ad
+        square = x[i] * x[j] + at if kind == name else 0.81 * max(x[i] * x[j], 0.0)
+        x[re], x[re + 1] = np.sqrt(max(square, 0.0)) * np.array([np.cos(angle), np.sin(angle)])
+    return x
+
+
+@st.composite
+def edge_rows(draw, tol):
+    """edge_row with drawn arguments, or with one element made NaN or infinite."""
+    x = edge_row(draw(st.sampled_from(EDGE_KINDS)), tol, draw(st.sampled_from(TOL_STEPS)),
+                 draw(st.sampled_from(NUDGES)), draw(st.integers(0, 3)),
+                 draw(st.lists(st.integers(0, 64), min_size=3, max_size=3)),
+                 draw(st.floats(0.0, 2 * np.pi)))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, 7))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x
 
 
 class TestXState:
@@ -91,6 +140,33 @@ class TestXState:
         assert xstate_violation(xs[3:]) == (1, f"populations sum to {sum(xs[4, :4].tolist())}, "
                                                "not 1")
 
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([0.0, STRUCT_TOL, SAMPLE_TOL, 1e-3]))
+    def test_certificate_changes_no_verdict(self, data, tol):
+        # the certificate, then the row-by-row diagnosis, give what the diagnosis alone
+        # gives; rows sit at +-tol of every bound, NaN and inf included
+        xs = np.array(data.draw(st.lists(edge_rows(tol), max_size=6)) or np.zeros((0, 8)))
+        assert xstate_violation(xs, tol) == xstate_violation_by_rows(xs, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, STRUCT_TOL, SAMPLE_TOL, 1e-3])
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    def test_certificate_changes_no_verdict_at_any_bound(self, kind, tol):
+        for step, nudge, k in itertools.product(TOL_STEPS, NUDGES, range(4)):
+            x = edge_row(kind, tol, step, nudge, k)
+            assert xstate_violation(x, tol) == xstate_violation_by_rows(x, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, STRUCT_TOL])
+    def test_certificate_is_sound_on_the_psd_boundary(self, tol):
+        # |z|^2 = bc + tol up to round-off, where the sum of squares and hypot's square
+        # disagree in the last bits in about one row in ten
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            x = np.zeros(8)
+            x[:4] = np.diff([0, *sorted(rng.integers(0, 65, 3)), 64]) / 64
+            angle = rng.uniform(0.0, 2 * np.pi)
+            x[4:6] = np.sqrt(x[1] * x[2] + tol) * np.array([np.cos(angle), np.sin(angle)])
+            assert xstate_violation(x, tol) == xstate_violation_by_rows(x, tol)
+
     def test_from_matrix_leakage_guard(self):
         m = XState(a=0.4, b=0.3, c=0.2, d=0.1).to_matrix()
         m[0, 1] = 1e-3
@@ -122,6 +198,21 @@ class TestReducedGenerator:
             direct = apply_generator(gen, x.to_matrix())
             reduced = XState.from_vector(m @ x.to_vector()).to_matrix()
             assert np.max(np.abs(direct - reduced)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(0.0, mhz(100.0)), gamma_nr=st.floats(0.0, mhz(1.0)),
+           ratio=st.floats(0.5, 10.0), delta_bare=st.floats(-mhz(5.0), mhz(5.0)),
+           g=st.floats(-mhz(5.0), mhz(5.0)), seed=st.integers(0, 2**32 - 1))
+    def test_constant_maps_equal_the_basis_loop_exactly(self, gamma, gamma_nr, ratio,
+                                                         delta_bare, g, seed):
+        p = WaveguideParams(gamma=gamma, gamma_nr=gamma_nr, lambda_ratio=ratio,
+                            delta_bare=delta_bare, g=g)
+        gen = build_generator(derive_rates(p), p)
+        assert (xstate_generator_matrix(gen) == xstate_generator_by_basis(gen)).all()
+        # any 16x16 matrix: each entry is at most two nonzero products either way
+        rng = np.random.default_rng(seed)
+        gen = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        assert (xstate_generator_matrix(gen) == xstate_generator_by_basis(gen)).all()
 
     def test_xstate_rhs_consistency(self):
         p = params(1.3)

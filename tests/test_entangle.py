@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import wgqed.entangle
 from wgqed.dynamics import Trajectory, XState, evolve_xstate
 from wgqed.entangle import (
+    DEAD_EPS,
+    DEATH_HOLD,
     NonMonotoneError,
     concurrence_wootters,
     concurrence_x,
@@ -202,6 +204,28 @@ class TestDetectEvents:
         rep = detect_events(t, c)
         assert (rep.death_times, rep.revival_times) == self._events_loop(t, c)
         assert rep.final_concurrence == c[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_t=st.integers(2, 4 * DEATH_HOLD),
+           columns=st.lists(st.lists(st.tuples(st.booleans(), st.sampled_from(
+               [1, 2, DEATH_HOLD - 1, DEATH_HOLD, DEATH_HOLD + 1])), min_size=1, max_size=10),
+               max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_each_column_alone(self, n_t, columns, seed):
+        # drawn runs of live and dead samples cut to n_t, next to the edge columns:
+        # DEATH_HOLD dead samples at sample 0 and at the end, all dead, all live
+        rng = np.random.default_rng(seed)
+        hold = min(DEATH_HOLD, n_t)
+        masks = [[False] * hold + [True] * (n_t - hold), [True] * (n_t - hold) + [False] * hold,
+                 [False] * n_t, [True] * n_t]
+        masks += [([live for live, n in runs for _ in range(n)] * n_t)[:n_t] for runs in columns]
+        live = np.array(masks).T
+        c = np.where(live, rng.uniform(2e-6, 1.0, live.shape),
+                     rng.choice([0.0, DEAD_EPS, 5e-7], live.shape))
+        t = np.cumsum(rng.uniform(0.01, 0.1, n_t))
+        stacked = detect_events(t, c)
+        assert stacked == [detect_events(t, c[:, j]) for j in range(c.shape[1])]
+        assert detect_events(t, c[:, :0]) == []
 
 
 class TestEsdThreshold:

@@ -43,6 +43,14 @@ class TestTensor:
         a, b = RNG.normal(size=(2, 2)), RNG.normal(size=(4, 4))
         np.testing.assert_allclose(tensor(a, b), np.kron(a, b))
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((2, 2), (4, 4)), ((8, 8), (8, 8)),
+                                                  ((2, 3), (4, 1)), ((1, 5), (3, 2))])
+    def test_equals_kron_exactly(self, shape_a, shape_b):
+        a = RNG.normal(size=shape_a) + 1j * RNG.normal(size=shape_a)
+        b = RNG.normal(size=shape_b) + 1j * RNG.normal(size=shape_b)
+        assert (tensor(a, b) == np.kron(a, b)).all()
+        assert tensor(a, b).shape == np.kron(a, b).shape
+
     def test_left_factor_is_slow_index(self):
         # |1><1| (x) I acts on the left (slow) qubit
         proj = np.diag([0.0, 1.0])

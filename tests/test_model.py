@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from wgqed.dynamics import off_x_leakage
 from wgqed.model import (
+    SM_A,
+    SM_B,
     TWO_PI,
     WaveguideParams,
-    apply_generator,
     build_generator,
     build_hamiltonian,
     derive_rates,
     lindblad_generator,
     mhz,
 )
-from wgqed.linalg import SIGMA_MINUS, hermiticity_defect
+from wgqed.linalg import SIGMA_MINUS, SIGMA_X, hermiticity_defect
 from wgqed.states import LOWERING_CBA, XY_BA
-from xstate_oracles import channel_generator, hand_expanded_generator, random_xstate
+from xstate_oracles import (
+    apply_generator,
+    channel_generator,
+    hand_expanded_generator,
+    kron_lindblad_generator,
+    random_xstate,
+)
 
 GAMMA = mhz(5.0)
 GAMMA_NR = mhz(0.03)
@@ -163,6 +170,27 @@ class TestGenerator:
         gen = build_generator(r, p)
         ref = hand_expanded_generator(r, p)
         assert np.max(np.abs(gen - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gamma=st.floats(0.0, mhz(10.0)), gamma_nr=st.floats(0.0, mhz(1.0)),
+           ratio=st.floats(0.5, 10.0), delta_bare=st.floats(-mhz(5.0), mhz(5.0)),
+           g=st.floats(-mhz(20.0), mhz(20.0)), omega=st.floats(0.0, mhz(50.0)))
+    def test_broadcast_products_equal_np_kron_exactly(self, gamma, gamma_nr, ratio,
+                                                       delta_bare, g, omega):
+        # the 16x16 waveguide generator, the 4x4 Rabi one and the 64x64 gate one
+        p = WaveguideParams(gamma=gamma, gamma_nr=gamma_nr, lambda_ratio=ratio,
+                            delta_bare=delta_bare, g=g)
+        r = derive_rates(p)
+        rates = [[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]]
+        for h, ops, g_ij in [
+            (build_hamiltonian(r, p), [SM_A, SM_B], rates),
+            (omega / 2 * SIGMA_X, [SIGMA_MINUS], [[gamma_nr]]),
+            (-g * XY_BA + delta_bare * np.diag(np.arange(8.0)), LOWERING_CBA,
+             gamma_nr * np.eye(3)),
+        ]:
+            gen = lindblad_generator(h, ops, g_ij)
+            assert gen.shape == (len(h) ** 2,) * 2
+            assert (gen == kron_lindblad_generator(h, ops, g_ij)).all()
 
     def test_diagonal_rates_match_independent_channels(self):
         # the three-qubit gate generator: XY on b-a, damping of every qubit

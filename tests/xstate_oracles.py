@@ -1,8 +1,11 @@
-"""Test oracles: random X states, the X-state right-hand side, both from
-the full generator and as the hand-transcribed kinetic equations of the
-source text, the Lindblad generator written channel by channel with the
-collective term expanded by hand, and a sudden-death threshold that
-propagates every fidelity it tests on its own.
+"""Test oracles: random X states, the X-state check row by row, the action
+of a generator on a density matrix and its restriction to the X manifold
+basis state by basis state,
+the X-state right-hand side, both from the full generator and as the
+hand-transcribed kinetic equations of the source text, the Lindblad
+generator written channel by channel with np.kron and the collective term
+expanded by hand, and a sudden-death threshold that propagates every
+fidelity it tests on its own.
 """
 
 from dataclasses import replace
@@ -11,9 +14,63 @@ import numpy as np
 
 from wgqed.dynamics import XState, evolve_xstate
 from wgqed.entangle import NonMonotoneError, margins
-from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, apply_generator,
-                         build_generator, build_hamiltonian, derive_rates)
+from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
+                         build_hamiltonian, derive_rates)
 from wgqed.states import FAMILIES
+
+
+def xstate_violation_by_rows(xs: np.ndarray, tol: float) -> tuple[int, str] | None:
+    """``xstate_violation`` without its whole-array certificate: every check on every row."""
+    xs = np.reshape(xs, (-1, 8))
+    a, b, c, d, zr, zi, wr, wi = xs.T
+    finite = np.isfinite(xs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = np.column_stack([
+            ~finite[:, :4], ~(finite[:, 4] & finite[:, 5]), ~(finite[:, 6] & finite[:, 7]),
+            np.abs(a + b + c + d - 1.0) > tol, (xs[:, :4] < -tol) | (xs[:, :4] > 1 + tol),
+            np.hypot(zr, zi) ** 2 > b * c + tol, np.hypot(wr, wi) ** 2 > a * d + tol])
+    rows = np.flatnonzero(bad.any(axis=1))
+    if not len(rows):
+        return None
+    k = int(rows[0])
+    x = XState.from_vector(xs[k])
+    pops = (x.a, x.b, x.c, x.d)
+    reasons = [f"element {n}={getattr(x, n)} is not finite" for n in "abcdzw"]
+    reasons.append(f"populations sum to {sum(pops)}, not 1")
+    reasons += [f"population {n}={v} outside [0, 1]" for n, v in zip("abcd", pops)]
+    reasons += ["|z|^2 exceeds b*c: inner block not PSD",
+                "|w|^2 exceeds a*d: outer block not PSD"]
+    return k, reasons[int(np.argmax(bad[k]))]
+
+
+def apply_generator(gen: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """gen acting on a density matrix, through its row-major vectorization."""
+    dim = rho.shape[0]
+    return (gen @ rho.reshape(-1)).reshape(dim, dim)
+
+
+def xstate_generator_by_basis(gen: np.ndarray) -> np.ndarray:
+    """A 16x16 generator restricted to the X manifold one unit X coordinate at a time."""
+    m = np.zeros((8, 8))
+    for k in range(8):
+        e = np.zeros(8)
+        e[k] = 1.0
+        rho = XState.from_vector(e).to_matrix()
+        out = apply_generator(gen, rho)
+        m[:, k] = XState.from_matrix(out).to_vector()
+    return m
+
+
+def kron_lindblad_generator(h: np.ndarray, ops: list[np.ndarray], rates) -> np.ndarray:
+    """``lindblad_generator`` with every Kronecker product formed by np.kron."""
+    rates = np.asarray(rates)
+    pairs = list(zip(*np.nonzero(rates)))
+    h_eff = h - 0.5j * sum(rates[i, j] * ops[j].conj().T @ ops[i] for i, j in pairs)
+    eye = np.eye(h.shape[0], dtype=complex)
+    gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for i, j in pairs:
+        gen += rates[i, j] * np.kron(ops[i], ops[j].conj())
+    return gen
 
 
 def channel_generator(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]) -> np.ndarray:
