@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import STRUCT_TOL, expm
+from .linalg import STRUCT_TOL, expm, sector
 from .model import DerivedRates, WaveguideParams, build_generator
 
 #: most samples one time grid may hold; admits the longest wait
@@ -150,10 +150,14 @@ class Trajectory:
             raise ValueError("times must be strictly ascending")
 
 
-#: X coordinates to vec(rho) (16x8), and vec(rho) to X coordinates as the real part (8x16)
-X_IN = np.stack([XState.from_vector(e).to_matrix().reshape(-1) for e in np.eye(8)], axis=1)
-X_OUT = np.zeros((8, 16), dtype=complex)
-X_OUT[range(8), [0, 5, 10, 15, 6, 6, 3, 3]] = [1, 1, 1, 1, 1, -1j, 1, -1j]  # Im x = Re(-1j x)
+#: X coordinates to vec(rho) (16x8), and vec(rho) to X coordinates as the real part (8x16,
+#: Im x = Re(-1j x)): a, b, c, d on the diagonal of the q = 0 sector (linalg.sector), z above
+#: it, w in q = -2; X_IN also holds each coherence's conjugate at the transposed index
+_Q0 = sector(2, 0)
+_X_AT = np.r_[_Q0[_Q0 // 4 == _Q0 % 4], np.repeat([_Q0[_Q0 // 4 < _Q0 % 4], sector(2, -2)], 2)]
+X_IN, X_OUT = np.zeros((16, 8), dtype=complex), np.zeros((8, 16), dtype=complex)
+X_IN[_X_AT % 4 * 4 + _X_AT // 4, range(8)] = X_OUT[range(8), _X_AT] = [1, 1, 1, 1, 1, -1j, 1, -1j]
+X_IN[_X_AT, range(8)] = X_OUT[range(8), _X_AT].conj()
 
 
 def xstate_generator_matrix(gen: np.ndarray) -> np.ndarray:

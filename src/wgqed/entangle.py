@@ -37,13 +37,15 @@ def margins(xs: np.ndarray) -> np.ndarray:
     hypot gives |z| and |w| rounded exactly like Python's ``abs(complex)``.
     Unclamped: strictly negative over an interval iff the concurrence is
     exactly zero there, which makes sudden death decidable at finite times
-    even when the clamped concurrence merely decays asymptotically.
+    even when the clamped concurrence merely decays asymptotically.  One state gives a scalar.
     """
     xs = np.asarray(xs)
-    a, b, c, d = (np.maximum(xs[..., k], 0.0) for k in range(4))
-    f = np.hypot(xs[..., 4], xs[..., 5]) - np.sqrt(a * d)
-    g = np.hypot(xs[..., 6], xs[..., 7]) - np.sqrt(b * c)
-    return 2.0 * np.maximum(f, g)
+    f, g, tmp = (np.empty(xs.shape[:-1]) for _ in range(3))  # the only columns allocated
+    for res, (p, q, k) in ((f, (0, 3, 4)), (g, (1, 2, 6))):  # F from a, d, z; G from b, c, w
+        np.multiply(np.maximum(xs[..., p], 0.0, out=res), np.maximum(xs[..., q], 0.0, out=tmp),
+                    out=res)
+        np.subtract(np.hypot(xs[..., k], xs[..., k + 1], out=tmp), np.sqrt(res, out=res), out=res)
+    return np.multiply(np.maximum(f, g, out=f), 2.0, out=f)[()]
 
 
 def concurrence_x(x: XState) -> float:
@@ -79,44 +81,42 @@ def pw_concurrence_closed(f: float) -> float:
 
 def trajectory_concurrences(traj: Trajectory) -> np.ndarray:
     """Concurrence at every sample of an X-manifold trajectory (not validated)."""
-    return np.clip(margins(traj.states), 0.0, 1.0)
+    c = margins(traj.states)
+    return np.clip(c, 0.0, 1.0, out=c)
 
 
 def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport | list[EsdReport]:
     """Locate deaths (C <= DEAD_EPS for >= DEATH_HOLD samples) and revivals.
 
     ``c`` is the concurrence sampled at ``times``, or an (n_t, m) stack of m series, which
-    gives m reports (a series that never crosses DEAD_EPS is not searched).  A death is a run
-    of at least DEATH_HOLD dead samples that follows a live one; it revives at the first live
-    sample after the run.  Event times are refined by linear interpolation of C between the
-    bracketing samples.  A concurrence that only decays below DEAD_EPS counts as a death
-    here: this is not the negative-margin sudden death of :func:`esd_threshold`.
+    gives m reports, all found in one pass over the stack.  A death is a run of at least
+    DEATH_HOLD dead samples that follows a live one; it revives at the first live sample after
+    the run.  Event times are refined by linear interpolation of C between the bracketing
+    samples.  A concurrence that only decays below DEAD_EPS counts as a death here: this is
+    not the negative-margin sudden death of :func:`esd_threshold`.
     """
     if len(times) < 2:
         raise ValueError("trajectory needs at least 2 samples")
-    t, c, n = np.asarray(times), np.asarray(c), len(c)
-    if c.ndim == 2:
-        return [detect_events(t, col) if crosses else EsdReport(final_concurrence=float(col[-1]))
-                for col, crosses in zip(c.T, np.diff(c <= DEAD_EPS, axis=0).any(axis=0))]
-    step = np.diff((c <= DEAD_EPS).astype(np.int8))
-    starts = np.flatnonzero(step == 1) + 1  # first dead sample of a run
-    ends = np.append(np.flatnonzero(step == -1) + 1, n)  # first live one after it
-    stops = ends[np.searchsorted(ends, starts)]
+    t, c = np.asarray(times), np.asarray(c)
+    if c.ndim == 1:
+        return detect_events(t, c[:, None])[0]
+    (n, m), cs = c.shape, c.T.ravel()  # series j's sample i at j*n + i
+    # sample i + 1 against i at j*n + i; a live sample padded after the last ends every run
+    step = np.diff(np.pad(c.T <= DEAD_EPS, ((0, 0), (0, 1))).astype(np.int8)).ravel()
+    starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)  # last live, last dead
+    stops = stops[np.searchsorted(stops, starts)]
     held = stops - starts >= DEATH_HOLD
-    return EsdReport(
-        death_times=[_cross_time(t, c, i - 1) for i in starts[held]],
-        revival_times=[_cross_time(t, c, i - 1) for i in stops[held] if i < n],
-        final_concurrence=float(c[-1]))
-
-
-def _cross_time(t, c, i):
-    """Linear interpolation of the DEAD_EPS crossing between samples i and i+1."""
-    c0, c1 = c[i], c[i + 1]
-    if c1 == c0:
-        return float(t[i + 1])
-    frac = (c0 - DEAD_EPS) / (c0 - c1)
-    frac = min(max(frac, 0.0), 1.0)
-    return float(t[i] + frac * (t[i + 1] - t[i]))
+    starts, stops = starts[held], stops[held][stops[held] % n < n - 1]  # none at the last sample
+    k = np.r_[starts, stops]  # C crosses DEAD_EPS between entries k and k + 1 of cs
+    i = k % n
+    c0, c1, t0, t1 = cs[k], cs[k + 1], t[i], t[i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # where c1 == c0, t1 is taken
+        frac = np.minimum(np.maximum((c0 - DEAD_EPS) / (c0 - c1), 0.0), 1.0)
+    at = np.split(np.where(c1 == c0, t1, t0 + frac * (t1 - t0)), [len(starts)])
+    deaths, revivals = (np.split(times, np.searchsorted(ends, np.arange(1, m) * n))
+                        for times, ends in zip(at, (starts, stops)))
+    return [EsdReport(d.tolist(), r.tolist(), final)
+            for d, r, final in zip(deaths, revivals, c[-1].tolist())]
 
 
 def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,

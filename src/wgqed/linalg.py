@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,14 +38,18 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tensor_all(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = tensor(out, op)
-    return out
+    return functools.reduce(tensor, ops)
 
 
 # two-qubit exchange operator on |left right>, swaps |01> and |10>
 XY_EXCHANGE = tensor(SIGMA_MINUS, SIGMA_PLUS) + tensor(SIGMA_PLUS, SIGMA_MINUS)
+
+
+def sector(n_qubits: int, q: int) -> np.ndarray:
+    """Row-major vec(rho) indices of the |i><j| with n(i) - n(j) = q, n the excitation number.
+    A Lindbladian whose H conserves n and whose jumps lower it by one keeps each sector q."""
+    n = np.array([bin(i).count("1") for i in range(2**n_qubits)])
+    return np.flatnonzero(np.subtract.outer(n, n) == q)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -32,6 +32,16 @@ def mhz(value: float) -> float:
     return TWO_PI * value
 
 
+def check_fields(obj, finite: tuple, non_negative: tuple, positive: tuple = ()):
+    """ValueError at the first of obj's fields that breaks a rule, the rules taken in turn."""
+    rules = {"finite": (finite, math.isfinite), ">= 0": (non_negative, lambda v: v >= 0),
+             "> 0": (positive, lambda v: v > 0)}
+    for rule, (names, ok) in rules.items():
+        for name in names:
+            if not ok(getattr(obj, name)):
+                raise ValueError(f"{name} must be {rule}, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class WaveguideParams:
     """Bare physical parameters of the two-qubit / transmission-line system.
@@ -50,15 +60,8 @@ class WaveguideParams:
     g: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma", "gamma_nr", "lambda_ratio", "delta_bare", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.gamma_nr < 0:
-            raise ValueError(f"gamma_nr must be >= 0, got {self.gamma_nr}")
-        if self.lambda_ratio <= 0:
-            raise ValueError(f"lambda_ratio must be > 0, got {self.lambda_ratio}")
+        check_fields(self, ("gamma", "gamma_nr", "lambda_ratio", "delta_bare", "g"),
+                     ("gamma", "gamma_nr"), ("lambda_ratio",))
 
 
 @dataclass(frozen=True)

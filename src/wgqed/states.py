@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,19 +15,14 @@ from .linalg import (
     check_density_matrix,
     expm_skew,
     partial_trace,
+    sector,
     tensor,
     tensor_all,
 )
 from .dynamics import XState, grid_steps, propagate
-from .model import lindblad_generator, mhz
+from .model import check_fields, lindblad_generator, mhz
 
 WAIT_CAP_US = 1e4
-
-
-def _check_werner_f(f: float):
-    # STRUCT_TOL admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
-    if not 0.25 - STRUCT_TOL <= f <= 1.0 + STRUCT_TOL:
-        raise ValueError(f"werner fidelity must be in [0.25, 1], got {f}")
 
 
 def werner(f: float) -> np.ndarray:
@@ -37,7 +31,9 @@ def werner(f: float) -> np.ndarray:
 
 
 def werner_xstate(f: float) -> XState:
-    _check_werner_f(f)
+    # STRUCT_TOL admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
+    if not 0.25 - STRUCT_TOL <= f <= 1.0 + STRUCT_TOL:
+        raise ValueError(f"werner fidelity must be in [0.25, 1], got {f}")
     return XState(a=(1 - f) / 3, b=(1 + 2 * f) / 6, c=(1 + 2 * f) / 6,
                   d=(1 - f) / 3, z=complex((1 - 4 * f) / 6), w=0j)
 
@@ -80,6 +76,7 @@ class PrepConfig:
     def __post_init__(self):
         if not 0.0 <= self.f <= 1.0:
             raise ValueError(f"f must be in [0, 1], got {self.f}")
+        check_fields(self, ("g_strength", "g_bc_strength", "gamma_nr"), ("gamma_nr",))
         if self.with_dissipation and (self.g_strength <= 0 or self.g_bc_strength <= 0):
             raise ValueError("dissipative mode needs positive coupling strengths")
 
@@ -99,6 +96,8 @@ XY_CB = tensor(XY_EXCHANGE, I2)
 # amplitude damping of c, b and a, one channel each
 LOWERING_CBA = [tensor_all(SIGMA_MINUS, I2, I2), tensor_all(I2, SIGMA_MINUS, I2),
                 tensor_all(I2, I2, SIGMA_MINUS)]
+#: the register's sector q = 0 (linalg.sector): rho1 lies in it, and the gates propagate it alone
+Q0_CBA = sector(3, 0)
 
 
 def prepare_pw(cfg: PrepConfig) -> PrepResult:
@@ -137,8 +136,10 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
 
 def _dissipative_gate(rho: np.ndarray, h: np.ndarray, duration: float,
                       gamma_nr: float) -> np.ndarray:
-    gen = lindblad_generator(h, LOWERING_CBA, gamma_nr * np.eye(3))
-    return propagate(gen, rho.reshape(-1).astype(complex), duration, 1)[-1].reshape(8, 8)
+    gen = lindblad_generator(h, LOWERING_CBA, gamma_nr * np.eye(3))[np.ix_(Q0_CBA, Q0_CBA)]
+    out = np.zeros(64, dtype=complex)
+    out[Q0_CBA] = propagate(gen, rho.reshape(-1)[Q0_CBA], duration, 1)[-1]
+    return out.reshape(8, 8)
 
 
 @dataclass(frozen=True)
@@ -153,14 +154,8 @@ class RabiConfig:
     sample_dt: float = 0.01
 
     def __post_init__(self):
-        for name in ("omega", "gamma_nr", "pulse_duration", "wait_duration", "sample_dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("omega", "gamma_nr", "pulse_duration", "wait_duration"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.sample_dt <= 0:
-            raise ValueError(f"sample_dt must be > 0, got {self.sample_dt}")
+        check_fields(self, ("omega", "gamma_nr", "pulse_duration", "wait_duration", "sample_dt"),
+                     ("omega", "gamma_nr", "pulse_duration", "wait_duration"), ("sample_dt",))
 
 
 @dataclass

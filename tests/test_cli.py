@@ -244,6 +244,14 @@ class TestPrepare:
         assert len(payload["gate_durations_us"]) == 2
         assert payload["fidelity_to_target"] > 0.999
 
+    @pytest.mark.parametrize("mode", [[], ["--dissipative"]])
+    def test_negative_gamma_nr_is_usage_error(self, mode, tmp_path, capsys):
+        out = tmp_path / "prep.json"
+        assert main(["prepare", "--f", "0.7", *mode, "--gamma-nr", "-5",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "gamma_nr must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMix:
     ARGS = ["mix", "--gamma-nr", "3", "--pulse", "2", "--sample-dt", "0.01"]

@@ -1,6 +1,7 @@
 """Unit tests for concurrence formulas and sudden-death detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,29 @@ class TestMargins:
     def test_leading_axes(self):
         xs = np.random.default_rng(5).normal(size=(3, 4, 8))
         assert np.array_equal(margins(xs), margins(xs.reshape(12, 8)).reshape(3, 4))
+
+    def test_one_state_gives_a_scalar(self):
+        x = random_xstate(np.random.default_rng(2)).to_vector()
+        assert np.ndim(margins(x)) == 0 and margins(x) == self._margin_loop(x.tolist())
+
+    def test_peak_memory_is_three_result_columns(self):
+        # F, G and one operand: the operands were eight columns at once before
+        xs = np.random.default_rng(3).normal(size=(100_001, 8))
+        tracemalloc.start()
+        try:
+            got = margins(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * got.nbytes
+        traj = Trajectory(times=np.arange(len(xs), dtype=float), states=xs, rates=None)
+        tracemalloc.start()
+        try:
+            c = trajectory_concurrences(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * c.nbytes
 
 
 class TestConcurrenceWootters:
@@ -224,7 +248,8 @@ class TestDetectEvents:
                      rng.choice([0.0, DEAD_EPS, 5e-7], live.shape))
         t = np.cumsum(rng.uniform(0.01, 0.1, n_t))
         stacked = detect_events(t, c)
-        assert stacked == [detect_events(t, c[:, j]) for j in range(c.shape[1])]
+        assert [(r.death_times, r.revival_times, r.final_concurrence) for r in stacked] == [
+            (*self._events_loop(t, c[:, j]), c[-1, j]) for j in range(c.shape[1])]
         assert detect_events(t, c[:, :0]) == []
 
 

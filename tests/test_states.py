@@ -119,6 +119,18 @@ class TestPreparation:
         with pytest.raises(ValueError, match="coupling strengths"):
             PrepConfig(f=0.5, with_dissipation=True, g_strength=0.0)
 
+    @pytest.mark.parametrize("dissipative", [False, True])
+    def test_config_rejects_negative_gamma_nr(self, dissipative):
+        # a negative rate amplifies: rho_out had eigenvalue -0.356 and fidelity 1.409
+        with pytest.raises(ValueError, match="gamma_nr must be >= 0"):
+            PrepConfig(f=0.7, with_dissipation=dissipative, gamma_nr=mhz(-5.0))
+
+    @pytest.mark.parametrize("field", ["g_strength", "g_bc_strength", "gamma_nr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PrepConfig(f=0.7, with_dissipation=True, **{field: value})
+
 
 class TestMixedQubit:
     # a fast intrinsic rate keeps these tests quick; the acceptance suite

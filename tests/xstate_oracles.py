@@ -4,19 +4,21 @@ basis state by basis state,
 the X-state right-hand side, both from the full generator and as the
 hand-transcribed kinetic equations of the source text, the Lindblad
 generator written channel by channel with np.kron and the collective term
-expanded by hand, and a sudden-death threshold that propagates every
-fidelity it tests on its own.
+expanded by hand, a sudden-death threshold that propagates every
+fidelity it tests on its own, the X maps with their vec(rho) indices written
+out by hand, and a dissipative gate propagated on all 64 entries of the
+register, not on its excitation-number sector alone.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from wgqed.dynamics import XState, evolve_xstate
+from wgqed.dynamics import XState, evolve_xstate, propagate
 from wgqed.entangle import NonMonotoneError, margins
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
-                         build_hamiltonian, derive_rates)
-from wgqed.states import FAMILIES
+                         build_hamiltonian, derive_rates, lindblad_generator)
+from wgqed.states import FAMILIES, LOWERING_CBA
 
 
 def xstate_violation_by_rows(xs: np.ndarray, tol: float) -> tuple[int, str] | None:
@@ -206,3 +208,18 @@ def esd_threshold_by_repropagation(lambda_ratio: float, p: WaveguideParams,
         else:
             f_hi = mid
     return 0.5 * (f_lo + f_hi)
+
+
+def hand_x_maps() -> tuple[np.ndarray, np.ndarray]:
+    """(X_IN, X_OUT) from the unit X states and a hand-written vec(rho) index per coordinate."""
+    x_in = np.stack([XState.from_vector(e).to_matrix().reshape(-1) for e in np.eye(8)], axis=1)
+    x_out = np.zeros((8, 16), dtype=complex)
+    x_out[range(8), [0, 5, 10, 15, 6, 6, 3, 3]] = [1, 1, 1, 1, 1, -1j, 1, -1j]
+    return x_in, x_out
+
+
+def dissipative_gate_unrestricted(rho: np.ndarray, h: np.ndarray, duration: float,
+                                  gamma_nr: float) -> np.ndarray:
+    """A dissipative gate of the preparation protocol under its full 64x64 generator."""
+    gen = lindblad_generator(h, LOWERING_CBA, gamma_nr * np.eye(3))
+    return propagate(gen, rho.reshape(-1), duration, 1)[-1].reshape(8, 8)
