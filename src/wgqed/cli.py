@@ -262,11 +262,8 @@ def cmd_evolve(args) -> int:
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
         "rates": rates_dict(traj.rates),
-        "esd": {
-            "death_times_us": report.death_times,
-            "revival_times_us": report.revival_times,
-            "final_concurrence": report.final_concurrence,
-        },
+        "esd": {"death_times_us": report.death_times, "revival_times_us": report.revival_times,
+                "final_concurrence": report.final_concurrence},
         "columns": columns,
         "samples": table,
     }, columns, table)
@@ -340,11 +337,7 @@ def cmd_mix(args) -> int:
 def cmd_cpw(args) -> int:
     geom = CpwGeometry(center_width=args.width, gap_width=args.gap, eps_r=args.eps_r)
     derived = cpw_derive(geom)
-    report = {
-        "Z0_ohm": derived.z0,
-        "eps_eff": derived.eps_eff,
-        "v_ph_m_per_s": derived.v_ph,
-    }
+    report = {"Z0_ohm": derived.z0, "eps_eff": derived.eps_eff, "v_ph_m_per_s": derived.v_ph}
     if args.freq is not None:
         lam = wavelength(2 * np.pi * args.freq * 1e9, derived.v_ph)
         report["lambda_mm"] = lam * 1e3

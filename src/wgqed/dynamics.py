@@ -73,10 +73,8 @@ class XState:
         return m
 
     def to_vector(self) -> np.ndarray:
-        return np.array(
-            [self.a, self.b, self.c, self.d,
-             self.z.real, self.z.imag, self.w.real, self.w.imag]
-        )
+        return np.array([self.a, self.b, self.c, self.d,
+                         self.z.real, self.z.imag, self.w.real, self.w.imag])
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "XState":
@@ -229,9 +227,8 @@ def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
 def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: float,
                 rates: DerivedRates | None = None) -> Trajectory:
     """Propagate the vectorized density matrix under the full generator."""
-    rho0 = np.asarray(rho0, dtype=complex)
     times = sample_times(t_max, sample_dt)
-    ys = propagate(gen, rho0.reshape(-1), sample_dt, len(times) - 1)
+    ys = propagate(gen, np.asarray(rho0, dtype=complex).reshape(-1), sample_dt, len(times) - 1)
     return Trajectory(times=times, states=ys.reshape(-1, 4, 4), rates=rates)
 
 

@@ -15,10 +15,13 @@ _YY = tensor(SIGMA_Y, SIGMA_Y)
 #: detect_events: a death is C <= DEAD_EPS for at least DEATH_HOLD samples
 DEAD_EPS = 1e-6
 DEATH_HOLD = 5
+#: death_set: relative round-off floor on the margins, and each family's lowest f (up to 1)
+DEATH_RTOL = 1e-9
+F_LO = {"werner": 0.25, "pw": 1.0 / 3.0}
 
 
 class NonMonotoneError(RuntimeError):
-    """ESD predicate is not monotone over the bisection bracket."""
+    """The death set in f is not one interval from the family's lowest f."""
 
 
 @dataclass
@@ -93,7 +96,7 @@ def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport | list[EsdRepor
     DEATH_HOLD dead samples that follows a live one; it revives at the first live sample after
     the run.  Event times are refined by linear interpolation of C between the bracketing
     samples.  A concurrence that only decays below DEAD_EPS counts as a death here: this is
-    not the negative-margin sudden death of :func:`esd_threshold`.
+    not the negative-margin sudden death of :func:`death_set`.
     """
     if len(times) < 2:
         raise ValueError("trajectory needs at least 2 samples")
@@ -112,56 +115,70 @@ def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport | list[EsdRepor
     c0, c1, t0, t1 = cs[k], cs[k + 1], t[i], t[i + 1]
     with np.errstate(divide="ignore", invalid="ignore"):  # where c1 == c0, t1 is taken
         frac = np.minimum(np.maximum((c0 - DEAD_EPS) / (c0 - c1), 0.0), 1.0)
-    at = np.split(np.where(c1 == c0, t1, t0 + frac * (t1 - t0)), [len(starts)])
-    deaths, revivals = (np.split(times, np.searchsorted(ends, np.arange(1, m) * n))
-                        for times, ends in zip(at, (starts, stops)))
-    return [EsdReport(d.tolist(), r.tolist(), final)
-            for d, r, final in zip(deaths, revivals, c[-1].tolist())]
+    at = np.where(c1 == c0, t1, t0 + frac * (t1 - t0)).tolist()  # deaths, then revivals
+    cuts = np.arange(m + 1) * n  # series j holds entries cuts[j] to cuts[j + 1] - 1 of cs
+    d = np.searchsorted(starts, cuts).tolist()
+    r = (np.searchsorted(stops, cuts) + len(starts)).tolist()
+    return [EsdReport(at[d[j]:d[j + 1]], at[r[j]:r[j + 1]], final)
+            for j, final in enumerate(c[-1].tolist())]
 
 
-def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
-                  tol: float = 0.005) -> float:
-    """Boundary fidelity below which the trajectory exhibits sudden death.
+def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tuple[float, float]]:
+    """Sorted, disjoint [start, stop] intervals of the f whose trajectory dies suddenly.
 
-    Sudden death: the unclamped margin (see :func:`margins`) falls below
-    -1e-8 at one of the 1501 samples (1500 steps) over
-    6 / min(gamma_a, gamma_b).  Both families are affine in f, so one
-    propagation of the bracket's end states gives every trajectory as
-    their interpolation.  Bisection over f, after a 9-point check of the
-    bracket; raises NonMonotoneError where the predicate is not monotone
-    there (Werner near lambda/x2 = 1.9 and 2.11).
+    A sample dies where both margins (:func:`margins`) fall below a relative floor
+    e = DEATH_RTOL: |z| - sqrt(ad) < -e (|z| + sqrt(ad)), and alike in w, b, c; the samples
+    are 1501 (1500 steps) over 6 / min(gamma_a, gamma_b).  The families are affine in f, so
+    one propagation of the bracket's ends makes (1 + e)^2 |z|^2 - (1 - e)^2 ad and its twin
+    quadratics in f at each sample; their roots cut [lo, 1] into segments of constant signs,
+    and the set is the union of the segments where both are negative.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    floors = {"werner": 0.25, "pw": 1.0 / 3.0}  # lowest f of each family
-    if state_family not in floors:
-        raise ValueError(f"unknown state family {state_family!r}")
-    make, lo, hi = FAMILIES[state_family], floors[state_family], 1.0
-
+    if family not in F_LO:
+        raise ValueError(f"unknown state family {family!r}")
+    make, lo, hi = FAMILIES[family], F_LO[family], 1.0
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
     ends = evolve_xstate([make(lo), make(hi)], r, pr, t_max, t_max / 1500).states
-    base, slope = ends[:, 0], (ends[:, 1] - ends[:, 0]) / (hi - lo)
+    # rows a, b, d, c, Re z, Re w, Im z, Im w of each end: F's quantity, then G's, in each pair
+    x = ends.reshape(-1, 16).T[[0, 1, 3, 2, 4, 6, 5, 7, 8, 9, 11, 10, 12, 14, 13, 15]]
+    u, v = x[:8], (x[8:] - x[:8]) / (hi - lo)  # at each sample x = u + (f - lo) v
+    (up, uq, ur, ui), (vp, vq, vr, vi) = u.reshape(4, 2, -1), v.reshape(4, 2, -1)
+    grow, shrink = (1.0 + DEATH_RTOL) ** 2, (1.0 - DEATH_RTOL) ** 2
+    # c_k: coefficient of (f - lo)^k in grow |z|^2 - shrink ad (row 0) and in w, b, c (row 1)
+    c2 = grow * (vr * vr + vi * vi) - shrink * (vp * vq)
+    c1 = 2.0 * grow * (ur * vr + ui * vi) - shrink * (up * vq + uq * vp)
+    c0 = grow * (ur * ur + ui * ui) - shrink * (up * uq)
+    pts = np.empty((6, len(ends)))  # per sample: lo, the four roots, hi
+    pts[0], pts[5], roots = lo, hi, pts[1:5]
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN or inf where no root is finite
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        np.divide(q, c2, out=roots[:2])
+        np.divide(c0, q, out=roots[2:])
+    np.minimum(np.fmax(np.add(roots, lo, out=roots), lo, out=roots), hi, out=roots)  # NaN: lo
+    for i, j in (1, 2), (3, 4), (1, 3), (2, 4), (2, 3):  # a sorting network on the roots
+        pts[i], pts[j] = np.minimum(pts[i], pts[j]), np.maximum(pts[i], pts[j])
+    s = 0.5 * (pts[1:] + pts[:-1]) - lo  # segment midpoints, as f - lo
+    dead = (pts[1:] > pts[:-1]) & ((c2[0] * s + c1[0]) * s + c0[0] < 0.0)
+    dead &= (c2[1] * s + c1[1]) * s + c0[1] < 0.0
+    # the union: sorted starts and sorted stops part where a stop precedes the next start
+    starts, stops = np.sort(pts[:-1][dead]), np.sort(pts[1:][dead])
+    gaps = np.flatnonzero(stops[:-1] < starts[1:])
+    return list(zip(np.r_[starts[:1], starts[gaps + 1]].tolist(),
+                    np.r_[stops[gaps], stops[-1:]].tolist()))
 
-    def has_esd(f: float) -> bool:
-        return bool(margins(base + (f - lo) * slope).min() < -1e-8)
 
-    grid = np.linspace(lo, hi, 9)
-    flags = [has_esd(f) for f in grid]
-    transitions = sum(1 for i in range(len(flags) - 1) if flags[i] != flags[i + 1])
-    if transitions > 1 or (transitions == 1 and not flags[0]):
-        raise NonMonotoneError(f"ESD predicate not monotone on [{lo}, {hi}]: {flags}")
-    if all(flags):
-        return hi
-    if not any(flags):
-        return lo
-    k = flags.index(False)
-    f_lo, f_hi = float(grid[k - 1]), float(grid[k])
-    while f_hi - f_lo > tol:
-        mid = 0.5 * (f_lo + f_hi)
-        if has_esd(mid):
-            f_lo = mid
-        else:
-            f_hi = mid
-    return 0.5 * (f_lo + f_hi)
+def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
+                  tol: float = 0.005) -> float:
+    """Fidelity below which the family dies suddenly: the stop of its :func:`death_set`.
+
+    The family's lowest f when no f dies.  A set that is not one interval from there raises
+    NonMonotoneError, naming its intervals.  The stop is exact on the grid: it meets any tol.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    spans, lo = death_set(lambda_ratio, p, state_family), F_LO[state_family]
+    if len(spans) > 1 or spans and spans[0][0] != lo:
+        raise NonMonotoneError(f"death set in f is not one interval from {lo}: "
+                               + " U ".join(f"[{a:.7g}, {b:.7g}]" for a, b in spans))
+    return spans[0][1] if spans else lo

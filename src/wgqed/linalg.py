@@ -90,10 +90,8 @@ def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     if subsystem == "middle" and n != 3:
         raise ValueError("'middle' requires a 3-qubit register")
     k = positions[subsystem]
-    t = rho.reshape((2,) * (2 * n))
-    out = np.trace(t, axis1=k, axis2=n + k)
-    d = 2 ** (n - 1)
-    return out.reshape(d, d)
+    out = np.trace(rho.reshape((2,) * (2 * n)), axis1=k, axis2=n + k)
+    return out.reshape(2 ** (n - 1), -1)
 
 
 def expm_skew(h: np.ndarray, theta: float) -> np.ndarray:
@@ -103,8 +101,7 @@ def expm_skew(h: np.ndarray, theta: float) -> np.ndarray:
     if defect > STRUCT_TOL:
         raise ValueError(f"generator is not Hermitian: max asymmetry {defect:.3e}")
     vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(1j * theta * vals)
-    return (vecs * phases) @ vecs.conj().T
+    return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
 
 
 def _pade_rows(m: int) -> np.ndarray:
@@ -211,11 +208,10 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped to [0, 1]."""
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
     ev = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
+    return float(np.clip(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2, 0.0, 1.0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,11 @@ def pseudo_werner(f: float) -> np.ndarray:
 
 
 def pw_xstate(f: float) -> XState:
-    m = pseudo_werner(f)
-    return XState.from_matrix(m)
+    return XState.from_matrix(pseudo_werner(f))
 
 
-#: initial X state of each state family, as a function of its fidelity f.
-#: Each must be affine in f: esd_threshold interpolates the propagations of
-#: two fidelities to get the trajectory of any other.
+#: initial X state of each state family, as a function of its fidelity f.  Each must be
+#: affine in f: entangle.death_set takes every f's trajectory from those of two.
 FAMILIES = {"werner": werner_xstate, "pw": pw_xstate}
 
 
@@ -177,8 +176,6 @@ def mixed_qubit(cfg: RabiConfig) -> MixResult:
     population f.  An optional exact pi-pulse at the end maps f -> 1 - f.
     """
     if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
-        import warnings
-
         warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
                       "reach the 1/2-1/2 mixture", stacklevel=2)
     segments = []

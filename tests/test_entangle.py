@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wgqed.entangle
@@ -16,6 +16,7 @@ from wgqed.entangle import (
     NonMonotoneError,
     concurrence_wootters,
     concurrence_x,
+    death_set,
     detect_events,
     esd_threshold,
     margins,
@@ -24,7 +25,7 @@ from wgqed.entangle import (
 )
 from wgqed.model import WaveguideParams, derive_rates, mhz
 from wgqed.states import pw_xstate, werner_xstate
-from xstate_oracles import esd_threshold_by_repropagation, random_xstate
+from xstate_oracles import dies_by_repropagation, random_xstate
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
 
@@ -253,6 +254,31 @@ class TestDetectEvents:
         assert detect_events(t, c[:, :0]) == []
 
 
+def werner_stop_at_ratio_2() -> float:
+    """The death set's stop at lambda/x2 = 2, in closed form.
+
+    Both qubits decay on their own at g = gamma_nr there, and the grid ends at T = 6/g:
+    z = z0 e^(-g t), d = d0 e^(-2 g t) and a = a0 + (b0 + c0) p + d0 p^2 with
+    p = 1 - e^(-g t), so the Werner state dies iff |z0|^2 < d0 a(T) (Yu & Eberly, PRL 93,
+    140404, 2004).  With a0 = d0 = (1 - f)/3, b0 + c0 = (1 + 2f)/3 and z0 = (1 - 4f)/6 that
+    is the quadratic (16 + 4B) f^2 + 4(A - B - 2) f + 1 - 4A < 0, A = 1 + p + p^2 and
+    B = 2p - 1 - p^2.
+    """
+    p = -math.expm1(-6.0)
+    big_a, big_b = 1 + p + p * p, 2 * p - 1 - p * p
+    qa, qb, qc = 16 + 4 * big_b, 4 * (big_a - big_b - 2), 1 - 4 * big_a
+    return (-qb + math.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+
+
+#: death-set stops on the default grid, to 7 digits
+DEATH_SET_STOPS = {(1.2, "werner"): 0.5668431, (1.3, "pw"): 0.9775066, (1.5, "pw"): 0.6742059,
+                   (2.0, "werner"): 0.7132076, (2.5, "werner"): 0.8489417,
+                   (2.5, "pw"): 0.7562034, (3.0, "werner"): 0.9489446, (1.2, "pw"): 0.9769012}
+#: the two-interval death sets of the Werner family, to 6 digits
+WERNER_TWO_INTERVALS = {1.9: [(0.25, 0.678307), (0.825402, 0.992188)],
+                        2.11: [(0.25, 0.681298), (0.805256, 0.995355)]}
+
+
 class TestEsdThreshold:
     def test_matches_analytic_boundary(self):
         thr = esd_threshold(2.0, PARAMS, "werner", tol=0.005)
@@ -267,21 +293,43 @@ class TestEsdThreshold:
             esd_threshold(2.0, PARAMS, "werner", tol=0.0)
         with pytest.raises(ValueError, match="state family"):
             esd_threshold(2.0, PARAMS, "ghz")
+        with pytest.raises(ValueError, match="state family"):
+            death_set(2.0, PARAMS, "ghz")
 
-    @pytest.mark.parametrize("ratio, family, value", [
+    @pytest.mark.parametrize("ratio, family, bisected", [
         (1.2, "werner", 0.56787109375),
         (1.3, "pw", 0.9778645833333334),
         (1.5, "pw", 0.6731770833333334),
         (2.0, "werner", 0.71435546875),
         (2.5, "werner", 0.84912109375),
         (2.5, "pw", 0.7565104166666666),
+        (3.0, "werner", 0.94873046875),
+        (1.2, "pw", 0.9778645833333334),
     ])
-    def test_equals_one_propagation_per_fidelity(self, ratio, family, value):
-        # the affine interpolation of two propagations decides every f as a
-        # propagation of that f alone does, down to the last bit of the result
+    def test_equals_one_propagation_per_fidelity(self, ratio, family, bisected):
+        # the stop splits what one propagation per fidelity decides: f just below it dies
         got = esd_threshold(ratio, PARAMS, family, tol=0.005)
-        assert got == esd_threshold_by_repropagation(ratio, PARAMS, family, 0.005)
-        assert got == value
+        assert got == pytest.approx(DEATH_SET_STOPS[ratio, family], abs=1e-7)
+        assert dies_by_repropagation(ratio, PARAMS, family, got - 1e-6)
+        assert not dies_by_repropagation(ratio, PARAMS, family, got + 1e-6)
+        # the bisection it replaces returned the midpoint of a bracket of width <= tol
+        assert abs(got - bisected) <= 0.0025
+
+    def test_stop_at_ratio_2_is_the_closed_form(self):
+        assert werner_stop_at_ratio_2() == pytest.approx(0.71320759, abs=1e-8)
+        assert death_set(2.0, PARAMS, "werner") == [
+            (0.25, pytest.approx(werner_stop_at_ratio_2(), abs=1e-8))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(ratio=st.one_of(st.sampled_from([1.2, 1.9, 2.0, 2.11]), st.floats(1.05, 3.0)),
+           family=st.sampled_from(["werner", "pw"]), u=st.floats(0.0, 1.0))
+    def test_membership_is_the_repropagated_verdict(self, ratio, family, u):
+        lo = 0.25 if family == "werner" else 1.0 / 3.0
+        f = min(lo + u * (1.0 - lo), 1.0)
+        spans = death_set(ratio, PARAMS, family)
+        assume(all(abs(f - end) > 1e-7 for span in spans for end in span) or f in (lo, 1.0))
+        inside = any(start <= f <= stop for start, stop in spans)
+        assert inside == dies_by_repropagation(ratio, PARAMS, family, f)
 
     def test_one_propagation_per_call(self, monkeypatch):
         calls = []
@@ -296,14 +344,34 @@ class TestEsdThreshold:
 
     @pytest.mark.parametrize("ratio", [1.9, 2.11])
     def test_non_monotone_flags_match_the_oracle(self, ratio):
-        with pytest.raises(NonMonotoneError) as oracle:
-            esd_threshold_by_repropagation(ratio, PARAMS, "werner", 0.005)
+        # inside each interval f dies, between them and above the last it does not
+        spans = death_set(ratio, PARAMS, "werner")
+        np.testing.assert_allclose(spans, WERNER_TWO_INTERVALS[ratio], rtol=0, atol=1e-5)
+        assert spans[0][0] == 0.25
+        (_, stop0), (start1, stop1) = spans
+        for f, dies in [(0.25, True), (stop0 - 1e-6, True), (stop0 + 1e-6, False),
+                        ((stop0 + start1) / 2, False), (start1 - 1e-6, False),
+                        (start1 + 1e-6, True), (stop1 - 1e-6, True), (stop1 + 1e-6, False),
+                        (1.0, False)]:
+            assert dies_by_repropagation(ratio, PARAMS, "werner", f) == dies
         with pytest.raises(NonMonotoneError) as got:
             esd_threshold(ratio, PARAMS, "werner")
-        assert str(got.value) == str(oracle.value)
+        assert str(got.value).endswith(" U ".join(f"[{a:.7g}, {b:.7g}]" for a, b in spans))
 
     def test_non_monotone_predicate_is_refused(self):
-        # at lambda/x2 = 1.9, f <= 0.67 and f in 0.83-0.99 die; 0.68-0.82 and 1.0 do not
-        flags = r"\[True, True, True, True, True, False, False, True, False\]"
-        with pytest.raises(NonMonotoneError, match=flags):
+        # at lambda/x2 = 1.9, f <= 0.678 and f in 0.826-0.992 die; 0.68-0.82 and 1.0 do not
+        spans = r"\[0\.25, 0\.678306\d\] U \[0\.825401\d, 0\.992187\d\]$"
+        with pytest.raises(NonMonotoneError, match=spans):
             esd_threshold(1.9, PARAMS, "werner")
+
+    @pytest.mark.parametrize("spans, expected", [
+        ([], 0.25), ([(0.25, 0.6)], 0.6), ([(0.25, 1.0)], 1.0),
+        ([(0.3, 0.6)], NonMonotoneError), ([(0.25, 0.5), (0.6, 0.7)], NonMonotoneError)])
+    def test_return_rules(self, monkeypatch, spans, expected):
+        monkeypatch.setattr(wgqed.entangle, "death_set", lambda *args: spans)
+        for tol in (1e-12, 0.005, 0.5):
+            if expected is NonMonotoneError:
+                with pytest.raises(NonMonotoneError, match="not one interval from 0.25"):
+                    esd_threshold(2.0, PARAMS, "werner", tol=tol)
+            else:
+                assert esd_threshold(2.0, PARAMS, "werner", tol=tol) == expected

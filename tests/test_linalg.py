@@ -177,6 +177,17 @@ class TestFidelity:
         assert abs(f1 - f2) < 1e-9
         assert -1e-12 <= f1 <= 1 + 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]),
+           st.floats(0.0, 1e-6), st.floats(0.0, 1e-6))
+    def test_near_pure_states_stay_in_unit_interval(self, seed, dim, mix_rho, mix_sigma):
+        # nearly equal near-pure states, where the squared root sum rounds above 1
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        rho, sigma = ((1 - m) * pure + m * np.eye(dim) / dim for m in (mix_rho, mix_sigma))
+        assert 0.0 <= fidelity(rho, sigma) <= 1.0
+
 
 def log_uniform(lo, hi):
     """Floats spread evenly over the decades from lo to hi."""

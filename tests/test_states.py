@@ -23,7 +23,7 @@ from wgqed.states import (
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_is_affine_in_f(name):
-    # esd_threshold interpolates two propagations, so every family must be
+    # death_set interpolates two propagations, so every family must be
     # the straight line through any two of its states
     make, lo, hi = FAMILIES[name], 0.4, 1.0
     ends = np.array([make(lo).to_vector(), make(hi).to_vector()])

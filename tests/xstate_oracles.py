@@ -4,8 +4,8 @@ basis state by basis state,
 the X-state right-hand side, both from the full generator and as the
 hand-transcribed kinetic equations of the source text, the Lindblad
 generator written channel by channel with np.kron and the collective term
-expanded by hand, a sudden-death threshold that propagates every
-fidelity it tests on its own, the X maps with their vec(rho) indices written
+expanded by hand, the sudden-death verdict of one fidelity propagated on its
+own, the X maps with their vec(rho) indices written
 out by hand, and a dissipative gate propagated on all 64 entries of the
 register, not on its excitation-number sector alone.
 """
@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from wgqed.dynamics import XState, evolve_xstate, propagate
-from wgqed.entangle import NonMonotoneError, margins
+from wgqed.entangle import DEATH_RTOL
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
                          build_hamiltonian, derive_rates, lindblad_generator)
 from wgqed.states import FAMILIES, LOWERING_CBA
@@ -173,41 +173,24 @@ def random_xstate(rng: np.random.Generator) -> XState:
     return XState(a=a, b=b, c=c, d=d, z=z, w=w)
 
 
-def esd_threshold_by_repropagation(lambda_ratio: float, p: WaveguideParams,
-                                   state_family: str, tol: float) -> float:
-    """``esd_threshold`` with one propagation of the family's state per tested f.
+def dies_by_repropagation(lambda_ratio: float, p: WaveguideParams, family: str,
+                          f: float) -> bool:
+    """Whether f's trajectory, propagated on its own, dies on ``death_set``'s grid.
 
-    Same window (6 / min(gamma_a, gamma_b), 1500 steps), -1e-8 margin
-    slack, 9-point bracket check and bisection; no affine shortcut.
+    Same window (6 / min(gamma_a, gamma_b), 1500 steps) and relative floor DEATH_RTOL,
+    checked sample by sample on |z|, sqrt(ad), |w| and sqrt(bc): no affine shortcut and no
+    quadratics in f.
     """
-    make = FAMILIES[state_family]
-    lo, hi = {"werner": 0.25, "pw": 1.0 / 3.0}[state_family], 1.0
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
-
-    def has_esd(f):
-        traj = evolve_xstate(make(f), r, pr, t_max, t_max / 1500)
-        return bool(margins(traj.states).min() < -1e-8)
-
-    grid = np.linspace(lo, hi, 9)
-    flags = [has_esd(f) for f in grid]
-    transitions = sum(a != b for a, b in zip(flags, flags[1:]))
-    if transitions > 1 or (transitions == 1 and not flags[0]):
-        raise NonMonotoneError(f"ESD predicate not monotone on [{lo}, {hi}]: {flags}")
-    if all(flags):
-        return hi
-    if not any(flags):
-        return lo
-    k = flags.index(False)
-    f_lo, f_hi = float(grid[k - 1]), float(grid[k])
-    while f_hi - f_lo > tol:
-        mid = 0.5 * (f_lo + f_hi)
-        if has_esd(mid):
-            f_lo = mid
-        else:
-            f_hi = mid
-    return 0.5 * (f_lo + f_hi)
+    xs = evolve_xstate(FAMILIES[family](f), r, pr, t_max, t_max / 1500).states
+    a, b, c, d = np.maximum(xs[:, :4], 0.0).T
+    z, w = np.hypot(xs[:, 4], xs[:, 5]), np.hypot(xs[:, 6], xs[:, 7])
+    root_ad, root_bc = np.sqrt(a * d), np.sqrt(b * c)
+    dead_f = z - root_ad < -DEATH_RTOL * (z + root_ad)
+    dead_g = w - root_bc < -DEATH_RTOL * (w + root_bc)
+    return bool(np.any(dead_f & dead_g))
 
 
 def hand_x_maps() -> tuple[np.ndarray, np.ndarray]:
