@@ -202,17 +202,15 @@ def rates_dict(r) -> dict:
     return out
 
 
-def time_grid(args, gamma: float) -> tuple[float, float]:
-    """(t_max, sample_dt) from the flags, defaulting to 8/gamma and t_max/1000."""
-    t_max = args.t_max if args.t_max is not None else 8.0 / gamma
-    sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
-    return t_max, sample_dt
-
-
 def cell_inputs(args, lambda_ratio: float) -> tuple:
-    """(rates, params, t_max, sample_dt) of a trajectory at lambda_ratio, from the flags."""
+    """(rates, params, t_max, sample_dt) of a trajectory at lambda_ratio, from the flags;
+    t_max defaults to 8/gamma and sample_dt to t_max/1000."""
     p = make_params(args, lambda_ratio)
-    return (derive_rates(p), p, *time_grid(args, p.gamma))
+    if args.t_max is None and p.gamma == 0:
+        raise ValueError("--gamma 0 sets no default time grid (8/gamma); give --t-max")
+    t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
+    sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
+    return derive_rates(p), p, t_max, sample_dt
 
 
 def checked_events(traj: Trajectory):

@@ -9,13 +9,14 @@ Al-Mohy & Higham 2009) written in numpy alone.
 
 Two paths are provided: ``evolve_full`` propagates the vectorized 4x4
 density matrix under the full generator, ``evolve_xstate`` propagates the
-eight real degrees of freedom of an X-shape state.  The reduced
-right-hand side is obtained by restricting the generator to the X
-manifold numerically, not by transcribing closed-form kinetic equations.
+eight real degrees of freedom of an X-shape state.  The reduced generator
+is the full one restricted to the X manifold numerically, once per unit
+coefficient (:func:`xstate_basis`), not transcribed from kinetic equations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import STRUCT_TOL, expm, sector
-from .model import DerivedRates, WaveguideParams, build_generator
+from .model import DerivedRates, WaveguideParams, generator_at, generator_coefficients
 
 #: most samples one time grid may hold; admits the longest wait
 #: ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
@@ -167,6 +168,13 @@ def xstate_generator_matrix(gen: np.ndarray) -> np.ndarray:
     return (X_OUT @ gen @ X_IN).real
 
 
+@functools.cache
+def xstate_basis() -> np.ndarray:
+    """(6, 64): row k is ``xstate_generator_matrix(generator_at(e_k))`` flattened, so the X
+    generator at coefficients theta (model.generator_coefficients) is theta @ xstate_basis()."""
+    return np.stack([xstate_generator_matrix(generator_at(e)).ravel() for e in np.eye(6)])
+
+
 def grid_steps(duration: float, dt: float) -> int:
     """Number of dt steps covering duration.
 
@@ -193,14 +201,14 @@ def sample_times(t_max: float, sample_dt: float) -> np.ndarray:
 def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
     """Samples expm(gen*dt)^k @ y0 for k = 0..n, as an (n + 1, *y0.shape) array.
 
-    ``y0`` is one state (d,) or a stack (m, d) of them.  Exact for a
-    time-independent generator: one matrix exponential gives S = expm(gen*dt)
-    (:func:`wgqed.linalg.expm`: Padé scaling and squaring, Higham, SIAM J.
-    Matrix Anal. Appl. 26(4), 2005, with the scaling of Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31(3), 2009); once samples 0..j-1 are known,
-    samples j..2j-1 are those times S^j, and S^2j = S^j @ S^j is formed
-    only while samples remain.  Raises :class:`IntegrationError` at the
-    first non-finite sample.
+    ``y0`` is one state (d,) or a stack (m, d) of them.  Exact for a time-independent
+    generator: one matrix exponential gives S = expm(gen*dt) (:func:`wgqed.linalg.expm`: Padé
+    scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, with the scaling of
+    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009); once samples 0..j-1 are known,
+    samples j..2j-1 are those times S^j, and S^2j = S^j @ S^j is formed only while samples
+    remain.  A step of two or more rows multiplies by a C-contiguous copy of S^j.T, about twice
+    as fast as the transposed view; a one-row step keeps the view, since there gemv rounds the
+    two layouts apart.  Raises :class:`IntegrationError` at the first non-finite sample.
     """
     y0 = np.asarray(y0)
     if not np.isfinite(y0).all():
@@ -213,13 +221,13 @@ def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
         power, j = expm(gen * dt), 1
         while j <= n:
             k = min(j, n + 1 - j)
-            np.matmul(rows[:k * m], power.T, out=rows[j * m:(j + k) * m])
+            step = power.T if k * m == 1 else np.ascontiguousarray(power.T)
+            np.matmul(rows[:k * m], step, out=rows[j * m:(j + k) * m])
             j += k
             if j <= n:
                 power = power @ power
-    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
-    if not finite.all():
-        k = int(np.argmin(finite))
+    if not np.isfinite(out).all():
+        k = int(np.argmin(np.isfinite(out).all(axis=tuple(range(1, out.ndim)))))
         raise IntegrationError(f"non-finite state at t = {k * dt:.6g} us", (k - 1) * dt)
     return out
 
@@ -236,15 +244,15 @@ def evolve_xstate(x0: XState | Sequence[XState], r: DerivedRates, p: WaveguidePa
                   t_max: float, sample_dt: float) -> Trajectory:
     """Propagate the eight real X-manifold coordinates (fast path).
 
-    One XState gives (n_t, 8) states; a sequence of m of them is
-    propagated as one stack and gives (n_t, m, 8).
+    One XState gives (n_t, 8) states; a sequence of m of them is propagated as one stack and
+    gives (n_t, m, 8).  The 8x8 generator is read from :func:`xstate_basis`: no 16x16 build.
     """
     single = isinstance(x0, XState)
     y0 = np.reshape([x.to_vector() for x in ([x0] if single else x0)], (-1, 8))
     bad = xstate_violation(y0)
     if bad is not None:
         raise ValueError(bad[1])
-    m = xstate_generator_matrix(build_generator(r, p))
+    m = (generator_coefficients(r, p) @ xstate_basis()).reshape(8, 8)
     times = sample_times(t_max, sample_dt)
     ys = propagate(m, y0[0] if single else y0, sample_dt, len(times) - 1)
     return Trajectory(times=times, states=ys, rates=r)

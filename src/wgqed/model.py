@@ -97,11 +97,21 @@ def derive_rates(p: WaveguideParams) -> DerivedRates:
     )
 
 
+def generator_coefficients(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
+    """theta = (d_a, d_b, g_x + g, gamma_a, gamma_col, gamma_b): the two frequency shifts, the
+    exchange coupling and the rate matrix entries, the six numbers the generator is linear in."""
+    return np.array([r.d_omega1 + p.delta_bare / 2, r.d_omega2 - p.delta_bare / 2,
+                     r.g_x + p.g, r.gamma_a, r.gamma_col, r.gamma_b])
+
+
+def hamiltonian_at(theta) -> np.ndarray:
+    """Rotating-frame two-qubit Hamiltonian (4x4, Hermitian) at the coefficients theta."""
+    return theta[0] * SZ_A / 2 + theta[1] * SZ_B / 2 + theta[2] * XY_EXCHANGE
+
+
 def build_hamiltonian(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     """Rotating-frame two-qubit Hamiltonian (4x4, Hermitian)."""
-    d_a = r.d_omega1 + p.delta_bare / 2
-    d_b = r.d_omega2 - p.delta_bare / 2
-    return d_a * SZ_A / 2 + d_b * SZ_B / 2 + (r.g_x + p.g) * XY_EXCHANGE
+    return hamiltonian_at(generator_coefficients(r, p))
 
 
 def lindblad_generator(h: np.ndarray, ops: list[np.ndarray], rates) -> np.ndarray:
@@ -125,8 +135,12 @@ def lindblad_generator(h: np.ndarray, ops: list[np.ndarray], rates) -> np.ndarra
     return gen
 
 
+def generator_at(theta) -> np.ndarray:
+    """Full Lindblad generator (16x16) at the coefficients theta of generator_coefficients."""
+    return lindblad_generator(hamiltonian_at(theta), [SM_A, SM_B],
+                              [[theta[3], theta[4]], [theta[4], theta[5]]])
+
+
 def build_generator(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     """Full Lindblad generator (16x16): individual and collective decay over one rate matrix."""
-    return lindblad_generator(build_hamiltonian(r, p), [SM_A, SM_B],
-                              [[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]])
-
+    return generator_at(generator_coefficients(r, p))

@@ -604,6 +604,16 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        EVOLVE + ["--gamma", "0"],
+        ["scan", "--f-range", "0.5:0.9:0.2", "--lambda-ratios", "1.5,2", "--gamma", "0"],
+    ])
+    def test_zero_gamma_needs_t_max(self, argv, tmp_path, capsys):
+        # the default --t-max is 8/gamma, which gamma = 0 does not give
+        assert main(argv) == EXIT_USAGE
+        assert "--t-max" in capsys.readouterr().err
+        assert main(argv + ["--t-max", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_infinite_mix_sample_time_is_usage_error(self, tmp_path, capsys):
         # every flag finite, but the last sample time pulse + wait overflows
         out = tmp_path / "mix.json"

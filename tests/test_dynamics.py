@@ -24,14 +24,18 @@ from wgqed.dynamics import (
     evolve_xstate,
     off_x_leakage,
     propagate,
+    xstate_basis,
     xstate_generator_matrix,
     xstate_violation,
 )
-from wgqed.linalg import STRUCT_TOL
-from wgqed.model import WaveguideParams, build_generator, derive_rates, mhz
+from wgqed.linalg import SIGMA_MINUS, SIGMA_X, STRUCT_TOL
+from wgqed.model import (WaveguideParams, build_generator, derive_rates, generator_coefficients,
+                         lindblad_generator, mhz)
+from wgqed.states import LOWERING_CBA, Q0_CBA, XY_BA
 from xstate_oracles import (
     apply_generator,
     kinetics_discrepancy,
+    propagate_by_view,
     random_xstate,
     xstate_generator_by_basis,
     xstate_rhs,
@@ -214,6 +218,27 @@ class TestReducedGenerator:
         gen = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         assert (xstate_generator_matrix(gen) == xstate_generator_by_basis(gen)).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=st.floats(0.5, 10.0), gamma=st.floats(mhz(0.1), mhz(1e12)),
+           gamma_nr=st.floats(0.0, mhz(10.0), allow_subnormal=False),
+           delta_bare=st.floats(-mhz(5.0), mhz(5.0)), g=st.floats(-mhz(5.0), mhz(5.0)))
+    def test_basis_gives_the_restricted_generator_bit_for_bit(self, ratio, gamma, gamma_nr,
+                                                               delta_bare, g):
+        p = WaveguideParams(gamma=gamma, gamma_nr=gamma_nr, lambda_ratio=ratio,
+                            delta_bare=delta_bare, g=g)
+        r = derive_rates(p)
+        got = (generator_coefficients(r, p) @ xstate_basis()).reshape(8, 8)
+        assert got.tobytes() == xstate_generator_matrix(build_generator(r, p)).tobytes()
+
+    def test_basis_keeps_the_last_bit_of_a_subnormal_rate(self):
+        # at ratio 2, gamma_a is gamma_nr alone; where the 16x16 path halves it into H_eff and
+        # doubles it back, an odd subnormal loses its last bit, which the basis, multiplying
+        # it by -1, keeps
+        p = WaveguideParams(gamma=GAMMA, gamma_nr=5e-324, lambda_ratio=2.0)
+        r = derive_rates(p)
+        got = (generator_coefficients(r, p) @ xstate_basis()).reshape(8, 8)
+        assert np.abs(got - xstate_generator_matrix(build_generator(r, p))).max() == 5e-324
+
     def test_xstate_rhs_consistency(self):
         p = params(1.3)
         r = derive_rates(p)
@@ -329,6 +354,33 @@ class TestPropagate:
         assert ys.shape == (n + 1, m, 8)
         for i in range(m):
             assert np.max(np.abs(ys[:, i] - propagate(gen, x0s[i], 0.01, n))) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["x 8x8 real", "mix 4x4 complex", "gate 20x20 complex"]),
+           ratio=st.floats(0.5, 10.0), rate=st.floats(0.0, mhz(5.0)),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(1, 16), single=st.booleans(),
+           n=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16, 31, 32, 64, 100, 128, 256, 512, 777,
+                              1024, 1500, 2047, 2048]))
+    def test_samples_equal_the_transposed_view_stepping(self, kind, ratio, rate, seed, m,
+                                                        single, n):
+        # n a power of two ends on a one-row step, where only the transposed view may be used
+        if kind == "x 8x8 real":
+            p = params(ratio, delta_bare=rate, g=rate / 2)
+            gen = xstate_generator_matrix(build_generator(derive_rates(p), p))
+        elif kind == "mix 4x4 complex":
+            gen = lindblad_generator(rate / 2 * SIGMA_X, [SIGMA_MINUS], [[GAMMA_NR * ratio]])
+        else:
+            gen = lindblad_generator(-rate * XY_BA, LOWERING_CBA, GAMMA_NR * ratio * np.eye(3))
+            gen = gen[np.ix_(Q0_CBA, Q0_CBA)]
+        rng = np.random.default_rng(seed)
+        y0 = rng.normal(size=(m, len(gen)))
+        if gen.dtype == complex:
+            y0 = y0 + 1j * rng.normal(size=y0.shape)
+        if m == 1 and single:
+            y0 = y0[0]
+        got, want = propagate(gen, y0, 0.01, n), propagate_by_view(gen, y0, 0.01, n)
+        assert got.shape == want.shape == (n + 1, *y0.shape)
+        assert (got == want).all()  # == treats the zeros of underflowed samples alike
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 1000, 1023, 1024, 1500, 2000])
     def test_blocked_powers_match_expm_at_every_doubling(self, n):
