@@ -46,24 +46,24 @@ class InvariantViolation(RuntimeError):
 def parse_range(spec: str) -> np.ndarray:
     """Parse 'start:stop:step' into a grid from start up to stop; 'x' alone is a single point.
 
-    stop is included when the span is a whole number of steps, up to round-off.
+    stop is included when the span is a whole number of steps, up to round-off.  Raises
+    ValueError, before anything is allocated, for a grid of more than MAX_SAMPLES points.
     """
     try:
         values = [float(p) for p in spec.split(":")]
-        if not all(map(math.isfinite, values)):
-            raise ValueError
-        if len(values) == 1:
-            return np.array(values)
-        if len(values) == 3:
-            start, stop, step = values
-            if step <= 0 or stop < start:
-                raise ValueError
-            # 1e-9 of a step absorbs round-off: (1.0 - 0.3) / 0.05 = 13.999999999999998
-            n = int((stop - start) / step + 1e-9)
-            return start + step * np.arange(n + 1)
     except ValueError:
-        pass
-    raise ValueError(f"malformed range {spec!r}, expected 'start:stop:step' or a number")
+        values = []
+    grid = len(values) == 3 and values[2] > 0 and values[1] >= values[0]
+    if not (all(map(math.isfinite, values)) and (len(values) == 1 or grid)):
+        raise ValueError(f"malformed range {spec!r}, expected 'start:stop:step' or a number")
+    if len(values) == 1:
+        return np.array(values)
+    start, stop, step = values
+    # 1e-9 of a step absorbs round-off: (1.0 - 0.3) / 0.05 = 13.999999999999998
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_SAMPLES:
+        raise ValueError(f"range {spec!r} has {steps + 1:.3g} points; the limit is {MAX_SAMPLES}")
+    return start + step * np.arange(int(steps) + 1)
 
 
 def csv_line(row) -> str:
@@ -206,8 +206,9 @@ def cell_inputs(args, lambda_ratio: float) -> tuple:
     """(rates, params, t_max, sample_dt) of a trajectory at lambda_ratio, from the flags;
     t_max defaults to 8/gamma and sample_dt to t_max/1000."""
     p = make_params(args, lambda_ratio)
-    if args.t_max is None and p.gamma == 0:
-        raise ValueError("--gamma 0 sets no default time grid (8/gamma); give --t-max")
+    if args.t_max is None and not (p.gamma > 0 and math.isfinite(8.0 / p.gamma)):
+        raise ValueError(f"--gamma {args.gamma} sets no finite default time grid (8/gamma); "
+                         "give --t-max")
     t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
     sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
     return derive_rates(p), p, t_max, sample_dt

@@ -206,30 +206,28 @@ def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
     scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, with the scaling of
     Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009); once samples 0..j-1 are known,
     samples j..2j-1 are those times S^j, and S^2j = S^j @ S^j is formed only while samples
-    remain.  A step of two or more rows multiplies by a C-contiguous copy of S^j.T, about twice
-    as fast as the transposed view; a one-row step keeps the view, since there gemv rounds the
-    two layouts apart.  Raises :class:`IntegrationError` at the first non-finite sample.
+    remain.  The samples are held component-major: each step multiplies columns of one
+    (d, (n + 1) * m) buffer, and the result is a view of it, one contiguous plane per component.
+    Raises :class:`IntegrationError` at the first non-finite sample.
     """
     y0 = np.asarray(y0)
     if not np.isfinite(y0).all():
         raise ValueError("initial state must be finite")
-    out = np.empty((n + 1, *y0.shape), dtype=np.result_type(gen, y0, 1.0))
-    out[0] = y0
-    m = y0.size // y0.shape[-1]  # states per sample
-    rows = out.reshape(-1, y0.shape[-1])  # sample k is rows[k*m:(k+1)*m]
+    d, m = y0.shape[-1], y0.size // y0.shape[-1]  # m states per sample
+    cols = np.empty((d, (n + 1) * m), dtype=np.result_type(gen, y0, 1.0))
+    cols[:, :m] = y0.reshape(m, d).T  # sample k is cols[:, k*m:(k+1)*m]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         power, j = expm(gen * dt), 1
         while j <= n:
             k = min(j, n + 1 - j)
-            step = power.T if k * m == 1 else np.ascontiguousarray(power.T)
-            np.matmul(rows[:k * m], step, out=rows[j * m:(j + k) * m])
+            np.matmul(power, cols[:, :k * m], out=cols[:, j * m:(j + k) * m])
             j += k
             if j <= n:
                 power = power @ power
-    if not np.isfinite(out).all():
-        k = int(np.argmin(np.isfinite(out).all(axis=tuple(range(1, out.ndim)))))
+    if not np.isfinite(cols).all():
+        k = int(np.argmin(np.isfinite(cols).all(axis=0))) // m
         raise IntegrationError(f"non-finite state at t = {k * dt:.6g} us", (k - 1) * dt)
-    return out
+    return np.moveaxis(cols.reshape(d, n + 1, *y0.shape[:-1]), 0, -1)
 
 
 def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: float,

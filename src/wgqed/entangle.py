@@ -18,6 +18,8 @@ DEATH_HOLD = 5
 #: death_set: relative round-off floor on the margins, and each family's lowest f (up to 1)
 DEATH_RTOL = 1e-9
 F_LO = {"werner": 0.25, "pw": 1.0 / 3.0}
+#: each margin's X coordinates p, q, Re, Im: F from a, d, z and G from b, c, w
+FG_PAIRING = ((0, 3, 4, 5), (1, 2, 6, 7))
 
 
 class NonMonotoneError(RuntimeError):
@@ -44,10 +46,10 @@ def margins(xs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs)
     f, g, tmp = (np.empty(xs.shape[:-1]) for _ in range(3))  # the only columns allocated
-    for res, (p, q, k) in ((f, (0, 3, 4)), (g, (1, 2, 6))):  # F from a, d, z; G from b, c, w
+    for res, (p, q, re, im) in zip((f, g), FG_PAIRING):
         np.multiply(np.maximum(xs[..., p], 0.0, out=res), np.maximum(xs[..., q], 0.0, out=tmp),
                     out=res)
-        np.subtract(np.hypot(xs[..., k], xs[..., k + 1], out=tmp), np.sqrt(res, out=res), out=res)
+        np.subtract(np.hypot(xs[..., re], xs[..., im], out=tmp), np.sqrt(res, out=res), out=res)
     return np.multiply(np.maximum(f, g, out=f), 2.0, out=f)[()]
 
 
@@ -140,10 +142,9 @@ def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tupl
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
     ends = evolve_xstate([make(lo), make(hi)], r, pr, t_max, t_max / 1500).states
-    # rows a, b, d, c, Re z, Re w, Im z, Im w of each end: F's quantity, then G's, in each pair
-    x = ends.reshape(-1, 16).T[[0, 1, 3, 2, 4, 6, 5, 7, 8, 9, 11, 10, 12, 14, 13, 15]]
-    u, v = x[:8], (x[8:] - x[:8]) / (hi - lo)  # at each sample x = u + (f - lo) v
-    (up, uq, ur, ui), (vp, vq, vr, vi) = u.reshape(4, 2, -1), v.reshape(4, 2, -1)
+    # x[i, j]: quantity i of margin j (FG_PAIRING) per sample, at lo and hi; x = u + (f - lo) v
+    x = np.moveaxis(ends, -1, 0)[np.transpose(FG_PAIRING)]
+    (up, uq, ur, ui), (vp, vq, vr, vi) = x[..., 0], (x[..., 1] - x[..., 0]) / (hi - lo)
     grow, shrink = (1.0 + DEATH_RTOL) ** 2, (1.0 - DEATH_RTOL) ** 2
     # c_k: coefficient of (f - lo)^k in grow |z|^2 - shrink ad (row 0) and in w, b, c (row 1)
     c2 = grow * (vr * vr + vi * vi) - shrink * (vp * vq)

@@ -607,11 +607,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         EVOLVE + ["--gamma", "0"],
         ["scan", "--f-range", "0.5:0.9:0.2", "--lambda-ratios", "1.5,2", "--gamma", "0"],
+        EVOLVE + ["--gamma", "1e-320"],
+        ["scan", "--f-range", "0.5:0.9:0.2", "--lambda-ratios", "1.5,2", "--gamma", "1e-320"],
     ])
     def test_zero_gamma_needs_t_max(self, argv, tmp_path, capsys):
-        # the default --t-max is 8/gamma, which gamma = 0 does not give
+        # the default --t-max is 8/gamma, which gamma = 0 does not give and 1e-320 overflows
         assert main(argv) == EXIT_USAGE
-        assert "--t-max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--gamma" in err and "--t-max" in err
         assert main(argv + ["--t-max", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_infinite_mix_sample_time_is_usage_error(self, tmp_path, capsys):
@@ -634,9 +637,15 @@ class TestExitCodes:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_over_cap_sample_grid_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        EVOLVE + ["--t-max", "1", "--sample-dt", "1e-9"],
+        # a range is capped alike, before its grid is allocated
+        ["scan", "--f-range", "0.3:1.0:1e-12", "--lambda-ratios", "1.5"],
+        ["rates", "--range", "1:2:1e-13"],
+    ])
+    def test_over_cap_sample_grid_is_usage_error(self, argv, capsys):
         start = time.perf_counter()
-        assert main(self.EVOLVE + ["--t-max", "1", "--sample-dt", "1e-9"]) == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
         assert time.perf_counter() - start < 0.5
         assert f"limit is {MAX_SAMPLES}" in capsys.readouterr().err
 

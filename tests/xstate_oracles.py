@@ -6,9 +6,8 @@ hand-transcribed kinetic equations of the source text, the Lindblad
 generator written channel by channel with np.kron and the collective term
 expanded by hand, the sudden-death verdict of one fidelity propagated on its
 own, the X maps with their vec(rho) indices written
-out by hand, a dissipative gate propagated on all 64 entries of the
-register, not on its excitation-number sector alone, and ``propagate``'s
-blocked powers stepped by the transposed view of the step matrix alone.
+out by hand, and a dissipative gate propagated on all 64 entries of the
+register, not on its excitation-number sector alone.
 """
 
 from dataclasses import replace
@@ -17,7 +16,6 @@ import numpy as np
 
 from wgqed.dynamics import XState, evolve_xstate, propagate
 from wgqed.entangle import DEATH_RTOL
-from wgqed.linalg import expm
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
                          build_hamiltonian, derive_rates, lindblad_generator)
 from wgqed.states import FAMILIES, LOWERING_CBA
@@ -208,21 +206,3 @@ def dissipative_gate_unrestricted(rho: np.ndarray, h: np.ndarray, duration: floa
     """A dissipative gate of the preparation protocol under its full 64x64 generator."""
     gen = lindblad_generator(h, LOWERING_CBA, gamma_nr * np.eye(3))
     return propagate(gen, rho.reshape(-1), duration, 1)[-1].reshape(8, 8)
-
-
-def propagate_by_view(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """``propagate``'s samples with every step taken as ``rows[:k*m] @ power.T``: the transposed
-    view of the step matrix at any row count, squared by ``power @ power``; no checks."""
-    y0 = np.asarray(y0)
-    out = np.empty((n + 1, *y0.shape), dtype=np.result_type(gen, y0, 1.0))
-    out[0] = y0
-    m = y0.size // y0.shape[-1]
-    rows = out.reshape(-1, y0.shape[-1])
-    power, j = expm(gen * dt), 1
-    while j <= n:
-        k = min(j, n + 1 - j)
-        rows[j * m:(j + k) * m] = rows[:k * m] @ power.T
-        j += k
-        if j <= n:
-            power = power @ power
-    return out
