@@ -16,13 +16,14 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from .dynamics import (MAX_SAMPLES, SAMPLE_TOL, IntegrationError, Trajectory, XState,
-                       evolve_xstate, sample_times, xstate_violation)
+from .dynamics import (MAX_SAMPLES, SAMPLE_TOL, IntegrationError, Trajectory, evolve_xstate,
+                       sample_times, xstate_violation)
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
@@ -89,10 +90,11 @@ def csv_blocks(columns: list[str], rows):
 
 
 def json_blocks(payload: dict):
-    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", with "samples" in blocks."""
-    table = payload.pop("samples")
-    assert max(payload) < "samples"  # so the array takes the place of the closing "\n}"
-    yield json.dumps(payload, indent=2, sort_keys=True)[:-2] + ',\n  "samples": ['
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", with its table in blocks."""
+    key = next(k for k, v in payload.items() if isinstance(v, tuple))  # the tuple of columns
+    table = payload.pop(key)
+    assert max(payload) < key  # so the array takes the place of the closing "\n}"
+    yield json.dumps(payload, indent=2, sort_keys=True)[:-2] + f',\n  "{key}": ['
     row = "\n    [\n      " + ",\n      ".join(["%s"] * len(table)) + "\n    ]"
     for k in range(0, len(table[0]), CSV_BLOCK):
         block = np.column_stack([col[k:k + CSV_BLOCK] for col in table])
@@ -108,12 +110,12 @@ def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
 
     JSON, for --format json or a result with no table, is {"generated_by", "config",
     **fields}, config holding every setting but --out and --format.  CSV is the columns,
-    then one line per row.  A None-free table is a tuple of column arrays, also fields["samples"].
+    then one line per row.  A None-free table is a tuple of column arrays, also a field.
     """
     if columns is None or args.format == "json":
         config = {k: v for k, v in settings(args).items() if k not in ("out", "format")}
         payload = {"generated_by": GENERATED_BY, "config": config, **fields}
-        blocks = (json_blocks(payload) if isinstance(fields.get("samples"), tuple)
+        blocks = (json_blocks(payload) if any(isinstance(v, tuple) for v in fields.values())
                   else [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     else:
         blocks = csv_blocks(columns, rows)
@@ -179,17 +181,14 @@ def make_params(args, lambda_ratio: float) -> WaveguideParams:
     )
 
 
-def rates_row(args, lambda_ratio: float) -> list[float]:
-    r = derive_rates(make_params(args, lambda_ratio))
-    return [lambda_ratio, r.phi, r.gamma_a / TWO_PI, r.gamma_b / TWO_PI,
-            r.gamma_col / TWO_PI, r.g_x / TWO_PI, r.d_omega1 / TWO_PI, r.d_omega2 / TWO_PI]
-
-
 def cmd_rates(args) -> int:
     columns = ("lambda_ratio,phi_rad,Gamma_a_MHz,Gamma_b_MHz,Gamma_col_MHz,"
                "g_x_MHz,d_omega1_MHz,d_omega2_MHz").split(",")
-    rows = [rates_row(args, lr) for lr in parse_range(args.range)]
-    emit(args, {"columns": columns, "rows": rows}, columns, rows)
+    ratios = parse_range(args.range)
+    p = make_params(args, float(ratios[0]))  # checks the flags; the grid ascends from ratios[0]
+    r = vars(derive_rates(SimpleNamespace(**{**vars(p), "lambda_ratio": ratios})))  # in one call
+    table = (ratios, r["phi"], *[v / TWO_PI for k, v in r.items() if k != "phi"])
+    emit(args, {"columns": columns, "rows": table}, columns, table)
     return EXIT_OK
 
 
@@ -225,13 +224,12 @@ def checked_events(traj: Trajectory):
     return c, detect_events(traj.times, c.reshape(len(c), -1))
 
 
-def scan_column(args, x0s: list[XState], lambda_ratio: float) -> list:
-    """Per x0, the events of its trajectory at lambda_ratio, or the error that failed it.
+def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
+    """Per x0 (row of the stack x0s), the events of its trajectory at lambda_ratio, or the error.
 
-    The states are propagated as stacks of at most MAX_SAMPLES // n_t states
-    (at least 1), so a scan never holds more samples than one trajectory at
-    the cap.  A stack that fails is redone state by state, so each cell
-    names its own failure.
+    The states are propagated as stacks of at most MAX_SAMPLES // n_t states (at least 1), so a
+    scan never holds more samples than one trajectory at the cap.  A stack that fails is redone
+    state by state, so each cell names its own failure.
     """
     inputs = cell_inputs(args, lambda_ratio)
     batch = max(1, MAX_SAMPLES // len(sample_times(*inputs[2:])))
@@ -242,7 +240,7 @@ def scan_column(args, x0s: list[XState], lambda_ratio: float) -> list:
             out += checked_events(evolve_xstate(cells, *inputs))[1]
         except (IntegrationError, InvariantViolation) as exc:
             out += [exc] if len(cells) == 1 else [
-                rep for x0 in cells for rep in scan_column(args, [x0], lambda_ratio)]
+                rep for x0 in cells for rep in scan_column(args, x0[None], lambda_ratio)]
     return out
 
 
@@ -277,11 +275,10 @@ def cmd_scan(args) -> int:
             raise ValueError
     except ValueError:
         raise ValueError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
-    x0s = [FAMILIES[args.state](f) for f in fs]  # a bad f is a usage error
+    x0s = FAMILIES[args.state](fs)  # a bad f is a usage error
     # no f, no cell: as before, the ratios and the time grid then go unchecked
-    cells = [scan_column(args, x0s, lr) for lr in ratios] if x0s else []
-    rows = []
-    failures = []
+    cells = [scan_column(args, x0s, lr) for lr in ratios] if len(fs) else []
+    rows, failures = [], []
     for i, f in enumerate(fs):  # f-major order
         for lr, column in zip(ratios, cells):
             rep = column[i]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +76,9 @@ class XState:
         return np.array([self.a, self.b, self.c, self.d,
                          self.z.real, self.z.imag, self.w.real, self.w.imag])
 
+    def __array__(self, *args, **kwargs) -> np.ndarray:
+        return self.to_vector()  # so np.asarray reads a sequence of XStates as an (m, 8) stack
+
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "XState":
         return cls(a=float(v[0]), b=float(v[1]), c=float(v[2]), d=float(v[3]),
@@ -103,11 +105,10 @@ def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str]
     round-off against hypot's square); only an array they do not certify is diagnosed by row.
     """
     xs = np.reshape(xs, (-1, 8))
-    a, b, c, d, zr, zi, wr, wi = xs.T
-    with np.errstate(invalid="ignore", over="ignore"):
-        if not len(xs) or (np.max(np.abs(a + b + c + d - 1.0)) <= tol
-                           and np.min(np.minimum(np.minimum(a, b), np.minimum(c, d))) >= -tol
-                           and np.max(np.maximum(np.maximum(a, b), np.maximum(c, d))) <= 1 + tol
+    a, b, c, d, zr, zi, wr, wi = xs.T  # xs.T[:4]: the populations as one (4, N) block
+    with np.errstate(invalid="ignore", over="ignore"):  # sum(axis=0) adds a + b + c + d in turn
+        if not len(xs) or (np.abs(xs.T[:4].sum(axis=0) - 1.0).max() <= tol
+                           and xs.T[:4].min() >= -tol and xs.T[:4].max() <= 1 + tol
                            and np.max(zr * zr + zi * zi - b * c) <= tol / 2 - 1e-14
                            and np.max(wr * wr + wi * wi - a * d) <= tol / 2 - 1e-14):
             return None
@@ -238,19 +239,18 @@ def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: floa
     return Trajectory(times=times, states=ys.reshape(-1, 4, 4), rates=rates)
 
 
-def evolve_xstate(x0: XState | Sequence[XState], r: DerivedRates, p: WaveguideParams,
-                  t_max: float, sample_dt: float) -> Trajectory:
+def evolve_xstate(x0: np.ndarray, r: DerivedRates, p: WaveguideParams, t_max: float,
+                  sample_dt: float) -> Trajectory:
     """Propagate the eight real X-manifold coordinates (fast path).
 
-    One XState gives (n_t, 8) states; a sequence of m of them is propagated as one stack and
-    gives (n_t, m, 8).  The 8x8 generator is read from :func:`xstate_basis`: no 16x16 build.
+    An X vector (or XState) gives (n_t, 8) states; an (m, 8) stack (or m XStates) is propagated
+    as one and gives (n_t, m, 8).  The 8x8 generator is :func:`xstate_basis`'s: no 16x16 build.
     """
-    single = isinstance(x0, XState)
-    y0 = np.reshape([x.to_vector() for x in ([x0] if single else x0)], (-1, 8))
+    y0 = np.asarray(x0, dtype=float)
     bad = xstate_violation(y0)
     if bad is not None:
         raise ValueError(bad[1])
     m = (generator_coefficients(r, p) @ xstate_basis()).reshape(8, 8)
     times = sample_times(t_max, sample_dt)
-    ys = propagate(m, y0[0] if single else y0, sample_dt, len(times) - 1)
+    ys = propagate(m, y0, sample_dt, len(times) - 1)
     return Trajectory(times=times, states=ys, rates=r)

@@ -38,18 +38,20 @@ class EsdReport:
 def margins(xs: np.ndarray) -> np.ndarray:
     """Entanglement margin 2*max(F, G) of every X state in an (..., 8) array.
 
-    F = |z| - sqrt(a+ d+) and G = |w| - sqrt(b+ c+), with x+ = max(x, 0);
-    hypot gives |z| and |w| rounded exactly like Python's ``abs(complex)``.
-    Unclamped: strictly negative over an interval iff the concurrence is
-    exactly zero there, which makes sudden death decidable at finite times
-    even when the clamped concurrence merely decays asymptotically.  One state gives a scalar.
+    F = |z| - sqrt(a+ d+) and G = |w| - sqrt(b+ c+), with x+ = max(x, 0); |z| and |w| round as
+    Python's ``abs(complex)``: hypot where Im != 0, elsewhere |Re| = hypot(Re, +-0) (C99 Annex
+    F.9.4.3), so a w plane of zeros costs one abs.  Unclamped: strictly negative over an interval
+    iff the concurrence is exactly zero there, which makes sudden death decidable at finite
+    times even when the clamped concurrence merely decays asymptotically.  One state: a scalar.
     """
     xs = np.asarray(xs)
     f, g, tmp = (np.empty(xs.shape[:-1]) for _ in range(3))  # the only columns allocated
     for res, (p, q, re, im) in zip((f, g), FG_PAIRING):
         np.multiply(np.maximum(xs[..., p], 0.0, out=res), np.maximum(xs[..., q], 0.0, out=tmp),
                     out=res)
-        np.subtract(np.hypot(xs[..., re], xs[..., im], out=tmp), np.sqrt(res, out=res), out=res)
+        np.abs(xs[..., re], out=tmp)
+        np.hypot(xs[..., re], xs[..., im], out=tmp, where=xs[..., im] != 0)
+        np.subtract(tmp, np.sqrt(res, out=res), out=res)
     return np.multiply(np.maximum(f, g, out=f), 2.0, out=f)[()]
 
 
@@ -106,8 +108,9 @@ def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport | list[EsdRepor
     if c.ndim == 1:
         return detect_events(t, c[:, None])[0]
     (n, m), cs = c.shape, c.T.ravel()  # series j's sample i at j*n + i
-    # sample i + 1 against i at j*n + i; a live sample padded after the last ends every run
-    step = np.diff(np.pad(c.T <= DEAD_EPS, ((0, 0), (0, 1))).astype(np.int8)).ravel()
+    dead = np.zeros((m, n + 1), dtype=np.int8)  # a live sample after the last ends every run
+    np.less_equal(c.T, DEAD_EPS, out=dead[:, :n])
+    step = np.diff(dead).ravel()  # sample i + 1 against i at j*n + i
     starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)  # last live, last dead
     stops = stops[np.searchsorted(stops, starts)]
     held = stops - starts >= DEATH_HOLD
@@ -141,7 +144,7 @@ def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tupl
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
-    ends = evolve_xstate([make(lo), make(hi)], r, pr, t_max, t_max / 1500).states
+    ends = evolve_xstate(make(np.array([lo, hi])), r, pr, t_max, t_max / 1500).states
     # x[i, j]: quantity i of margin j (FG_PAIRING) per sample, at lo and hi; x = u + (f - lo) v
     x = np.moveaxis(ends, -1, 0)[np.transpose(FG_PAIRING)]
     (up, uq, ur, ui), (vp, vq, vr, vi) = x[..., 0], (x[..., 1] - x[..., 0]) / (hi - lo)

@@ -80,8 +80,8 @@ class DerivedRates:
 def derive_rates(p: WaveguideParams) -> DerivedRates:
     """Rates and couplings induced by the shorted line at the given wavelength.
 
-    phi = 2*pi*x2/lambda is the propagation phase between the two coupling
-    points; every derived quantity is a trigonometric function of phi.
+    phi = 2*pi*x2/lambda is the propagation phase between the two coupling points; every derived
+    quantity is a trigonometric function of phi, elementwise over an array of ratios (cmd_rates).
     """
     phi = TWO_PI / p.lambda_ratio
     c1, c2, c3 = np.cos(phi), np.cos(2 * phi), np.cos(3 * phi)

@@ -26,40 +26,55 @@ from .model import check_fields, lindblad_generator, mhz
 WAIT_CAP_US = 1e4
 
 
+def _fidelities(f, family: str, lo: float, hi: float, slack: float) -> tuple:
+    """(f, zeros like f) as arrays; ValueError at the first f outside [lo - slack, hi + slack]."""
+    fs = np.asarray(f, dtype=float)
+    out = ~((lo - slack <= fs) & (fs <= hi + slack))
+    if out.any():
+        raise ValueError(f"{family} fidelity must be in [{lo:g}, {hi:g}], got "
+                         f"{fs[out][0] if fs.ndim else f}")
+    return fs, np.zeros_like(fs)
+
+
 def werner(f: float) -> np.ndarray:
     """Mixture of the Bell singlet with the maximally mixed state."""
     return werner_xstate(f).to_matrix()
 
 
+def werner_vector(f) -> np.ndarray:
+    """X vectors (:meth:`XState.to_vector`) of Werner states: (8,) at one f, (m, 8) at m."""
+    # the slack admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
+    f, zero = _fidelities(f, "werner", 0.25, 1.0, STRUCT_TOL)
+    a, b = (1 - f) / 3, (1 + 2 * f) / 6
+    return np.array([a, b, b, a, (1 - 4 * f) / 6, zero, zero, zero]).T
+
+
 def werner_xstate(f: float) -> XState:
-    # STRUCT_TOL admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
-    if not 0.25 - STRUCT_TOL <= f <= 1.0 + STRUCT_TOL:
-        raise ValueError(f"werner fidelity must be in [0.25, 1], got {f}")
-    return XState(a=(1 - f) / 3, b=(1 + 2 * f) / 6, c=(1 + 2 * f) / 6,
-                  d=(1 - f) / 3, z=complex((1 - 4 * f) / 6), w=0j)
+    return XState.from_vector(werner_vector(f))
 
 
 def pseudo_werner(f: float) -> np.ndarray:
     """X-shape alternative to the Werner state, preparable by the exchange protocol."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"pseudo-Werner fidelity must be in [0, 1], got {f}")
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = f / 8
-    rho[1, 1] = (1 + f) / 4
-    rho[2, 2] = 3 * f / 8
-    rho[3, 3] = 3 * (1 - f) / 4
-    rho[1, 2] = 1j * np.sqrt(3) * f / 4
-    rho[2, 1] = np.conj(rho[1, 2])
+    x = pw_vector(f)
+    rho = np.diag(x[:4] + 0j)
+    rho[1, 2], rho[2, 1] = 1j * x[5], np.conj(1j * x[5])
     return rho
 
 
+def pw_vector(f) -> np.ndarray:
+    """X vectors of pseudo-Werner states, shaped as :func:`werner_vector`'s."""
+    f, zero = _fidelities(f, "pseudo-Werner", 0.0, 1.0, 0.0)
+    return np.array([f / 8, (1 + f) / 4, 3 * f / 8, 3 * (1 - f) / 4,
+                     zero, np.sqrt(3) * f / 4, zero, zero]).T
+
+
 def pw_xstate(f: float) -> XState:
-    return XState.from_matrix(pseudo_werner(f))
+    return XState.from_vector(pw_vector(f))
 
 
-#: initial X state of each state family, as a function of its fidelity f.  Each must be
+#: X vectors of each state family at a fidelity f, or at an array of them.  Each must be
 #: affine in f: entangle.death_set takes every f's trajectory from those of two.
-FAMILIES = {"werner": werner_xstate, "pw": pw_xstate}
+FAMILIES = {"werner": werner_vector, "pw": pw_vector}
 
 
 @dataclass(frozen=True)

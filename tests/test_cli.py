@@ -85,6 +85,26 @@ class TestRates:
         assert main(["rates", "--range", "nope:1"]) == EXIT_USAGE
         assert "malformed range" in capsys.readouterr().err
 
+    def test_grid_is_one_derive_rates_call(self, monkeypatch, tmp_path):
+        # the whole grid in one array call, equal to one call per ratio in every JSON float
+        calls = []
+        monkeypatch.setattr(wgqed.cli, "derive_rates",
+                            lambda p: calls.append(p) or derive_rates(p))
+        out = tmp_path / "rates.json"
+        assert main(["rates", "--range", "1.2:2.0:0.1", "--format", "json",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        want = []
+        for lr in parse_range("1.2:2.0:0.1"):
+            r = derive_rates(WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=lr))
+            want.append([lr, r.phi, r.gamma_a / TWO_PI, r.gamma_b / TWO_PI, r.gamma_col / TWO_PI,
+                         r.g_x / TWO_PI, r.d_omega1 / TWO_PI, r.d_omega2 / TWO_PI])
+        assert json.loads(out.read_text())["rows"] == want
+
+    def test_ratio_not_positive_is_named(self, capsys):
+        assert main(["rates", "--range=-1:2:0.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: lambda_ratio must be > 0, got -1.0\n"
+
 
 class TestEvolve:
     ARGS = ["evolve", "--state", "werner", "--f", "0.9", "--lambda-ratio", "1.5",
@@ -145,6 +165,11 @@ class TestScan:
     def test_bad_ratio_list(self, capsys):
         assert main(["scan", "--f-range", "0.8", "--lambda-ratios", "x"]) == EXIT_USAGE
 
+    def test_f_below_the_family_range_is_usage_error(self, capsys):
+        # the f column is built as one array; its first f out of range is named
+        assert main(["scan", "--f-range", "0.2:0.5:0.1", "--lambda-ratios", "1.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: werner fidelity must be in [0.25, 1], got 0.2\n"
+
     def test_row_matches_evolve_report(self, tmp_path):
         # each row of a scan, its f column propagated as one stack, equals at 12
         # digits the event report of evolve on that cell alone
@@ -191,11 +216,11 @@ class TestScan:
     def test_bad_cell_in_a_stack_is_marked_alone(self, monkeypatch, tmp_path, capsys):
         # a fault that spoils one state of a stack: the stack is redone cell by
         # cell, so only that cell is marked, under its own message
-        spoiled = werner_xstate(parse_range("0.7:0.9:0.1")[1])
+        spoiled = werner_xstate(parse_range("0.7:0.9:0.1")[1]).to_vector()
 
         def faulty_evolve(x0s, *args):
             traj = evolve_xstate(x0s, *args)
-            traj.states[7, [x == spoiled for x in x0s], 1] = 1.5
+            traj.states[7, [np.array_equal(x, spoiled) for x in x0s], 1] = 1.5
             return traj
 
         good = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3")

@@ -78,8 +78,14 @@ class TestMargins:
         rng = np.random.default_rng(11)
         xs = np.concatenate([rng.normal(size=(5000, 8)),
                              np.array([random_xstate(rng).to_vector() for _ in range(5000)])])
+        # Re or Im of z and w at +0.0 or -0.0, where hypot is skipped for |Re|
+        signed = np.concatenate([xs[:800], xs[5000:5800]])
+        for k, zero in enumerate((0.0, -0.0, 0.0, -0.0)):
+            signed[k::4, [5, 7] if k < 2 else [4, 6]] = zero
+        signed[::16, 4:] = np.array([0.0, -0.0])[rng.integers(2, size=(100, 4))]
+        xs = np.concatenate([xs, signed])
         got = margins(xs)
-        assert got.shape == (10000,)
+        assert got.shape == (11600,)
         want = np.array([self._margin_loop(x.tolist()) for x in xs])
         assert np.array_equal(got, want)
 
@@ -340,7 +346,9 @@ class TestEsdThreshold:
 
         monkeypatch.setattr(wgqed.entangle, "evolve_xstate", counted)
         esd_threshold(1.3, PARAMS, "pw")
-        assert calls == [[pw_xstate(1.0 / 3.0), pw_xstate(1.0)]]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [pw_xstate(1.0 / 3.0).to_vector(),
+                                         pw_xstate(1.0).to_vector()])
 
     @pytest.mark.parametrize("ratio", [1.9, 2.11])
     def test_non_monotone_flags_match_the_oracle(self, ratio):

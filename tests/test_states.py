@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wgqed.dynamics import MAX_SAMPLES, grid_steps
+from wgqed.dynamics import MAX_SAMPLES, XState, grid_steps
 from wgqed.linalg import check_density_matrix, fidelity, partial_trace
 from wgqed.model import mhz
 from wgqed.states import (
@@ -26,10 +26,45 @@ def test_family_is_affine_in_f(name):
     # death_set interpolates two propagations, so every family must be
     # the straight line through any two of its states
     make, lo, hi = FAMILIES[name], 0.4, 1.0
-    ends = np.array([make(lo).to_vector(), make(hi).to_vector()])
+    ends = np.array([make(lo), make(hi)])
     for f in (1.0 / 3.0, 0.5, 0.6789, 0.9):
         line = ends[0] + (f - lo) * (ends[1] - ends[0]) / (hi - lo)
-        np.testing.assert_allclose(make(f).to_vector(), line, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(make(f), line, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, make, grid", [
+    ("werner", werner_xstate, [0.25, 1.0 / 3.0, 0.5, 0.714, 1.0, np.arange(0.3, 1.001, 0.1)[-1]]),
+    ("pw", pw_xstate, [0.0, 0.25, 1.0 / 3.0, 0.5, 0.714, 1.0]),
+])
+def test_family_vectors_are_the_xstates_bit_for_bit(name, make, grid):
+    # one array of f gives the rows that one scalar call per f gives, signed zeros included
+    fs = np.r_[grid, np.arange(0.3, 1.0, 0.05), np.linspace(0.25, 1.0, 31)]
+    rows = FAMILIES[name](fs)
+    assert rows.shape == (len(fs), 8)
+    assert rows.tobytes() == np.array([make(f).to_vector() for f in fs]).tobytes()
+    matrix = werner if name == "werner" else pseudo_werner
+    for f, row in zip(fs, rows):
+        assert FAMILIES[name](f).shape == (8,)
+        assert row.tobytes() == XState.from_matrix(matrix(f)).to_vector().tobytes()
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("werner", 0.2, r"werner fidelity must be in \[0.25, 1\], got 0.2$"),
+    ("werner", 1.1, r"werner fidelity must be in \[0.25, 1\], got 1.1$"),
+    ("werner", np.nan, r"werner fidelity must be in \[0.25, 1\], got nan$"),
+    ("pw", -0.1, r"pseudo-Werner fidelity must be in \[0, 1\], got -0.1$"),
+    ("pw", np.arange(0.3, 1.001, 0.1)[-1],
+     r"pseudo-Werner fidelity must be in \[0, 1\], got 1.0000000000000002$"),
+])
+def test_out_of_range_f_anywhere_in_an_array_is_named(name, bad, message):
+    # the first f out of range is named as a scalar call names it; a later one is not
+    for at in (0, 3, 7):
+        fs = np.linspace(0.4, 0.9, 8)
+        fs[at], fs[at + 1:] = bad, 5.0
+        with pytest.raises(ValueError, match=message):
+            FAMILIES[name](fs)
+        with pytest.raises(ValueError, match=message):
+            FAMILIES[name](bad)
 
 
 class TestWerner:
