@@ -276,8 +276,7 @@ def cmd_scan(args) -> int:
     except ValueError:
         raise ValueError(f"malformed lambda-ratio list {args.lambda_ratios!r}")
     x0s = FAMILIES[args.state](fs)  # a bad f is a usage error
-    # no f, no cell: as before, the ratios and the time grid then go unchecked
-    cells = [scan_column(args, x0s, lr) for lr in ratios] if len(fs) else []
+    cells = [scan_column(args, x0s, lr) for lr in ratios]
     rows, failures = [], []
     for i, f in enumerate(fs):  # f-major order
         for lr, column in zip(ratios, cells):

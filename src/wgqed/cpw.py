@@ -77,4 +77,6 @@ def lambda_ratio_for_freq(freq_ghz: float, geom: CpwGeometry, x2_mm: float = 18.
         raise ValueError("freq_ghz and x2_mm must be > 0")
     derived = cpw_derive(geom)
     lam = wavelength(2.0 * np.pi * freq_ghz * 1e9, derived.v_ph)
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"freq_ghz must give a finite, nonzero wavelength, got {freq_ghz}")
     return lam / (x2_mm * 1e-3)

@@ -133,10 +133,11 @@ def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tupl
 
     A sample dies where both margins (:func:`margins`) fall below a relative floor
     e = DEATH_RTOL: |z| - sqrt(ad) < -e (|z| + sqrt(ad)), and alike in w, b, c; the samples
-    are 1501 (1500 steps) over 6 / min(gamma_a, gamma_b).  The families are affine in f, so
-    one propagation of the bracket's ends makes (1 + e)^2 |z|^2 - (1 - e)^2 ad and its twin
-    quadratics in f at each sample; their roots cut [lo, 1] into segments of constant signs,
-    and the set is the union of the segments where both are negative.
+    are 1501 (1500 steps) over 6 / min(gamma_a, gamma_b).  The families keep w = 0, so at
+    f < 1, where bc > |z|^2 holds, G = -sqrt(bc) is below its floor and F alone decides.  They
+    are affine in f, so one propagation of the bracket's ends makes (1 + e)^2 |z|^2 - (1 - e)^2
+    ad a quadratic in f at each sample; its two roots cut [lo, 1] into three segments, and the
+    set is the union of those where it is negative.
     """
     if family not in F_LO:
         raise ValueError(f"unknown state family {family!r}")
@@ -145,26 +146,21 @@ def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tupl
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
     ends = evolve_xstate(make(np.array([lo, hi])), r, pr, t_max, t_max / 1500).states
-    # x[i, j]: quantity i of margin j (FG_PAIRING) per sample, at lo and hi; x = u + (f - lo) v
-    x = np.moveaxis(ends, -1, 0)[np.transpose(FG_PAIRING)]
+    # a, d, Re z, Im z (FG_PAIRING[0]) per sample, at lo and hi; x = u + (f - lo) v
+    x = np.moveaxis(ends, -1, 0)[list(FG_PAIRING[0])]
     (up, uq, ur, ui), (vp, vq, vr, vi) = x[..., 0], (x[..., 1] - x[..., 0]) / (hi - lo)
     grow, shrink = (1.0 + DEATH_RTOL) ** 2, (1.0 - DEATH_RTOL) ** 2
-    # c_k: coefficient of (f - lo)^k in grow |z|^2 - shrink ad (row 0) and in w, b, c (row 1)
+    # c_k: coefficient of (f - lo)^k in grow |z|^2 - shrink ad
     c2 = grow * (vr * vr + vi * vi) - shrink * (vp * vq)
     c1 = 2.0 * grow * (ur * vr + ui * vi) - shrink * (up * vq + uq * vp)
     c0 = grow * (ur * ur + ui * ui) - shrink * (up * uq)
-    pts = np.empty((6, len(ends)))  # per sample: lo, the four roots, hi
-    pts[0], pts[5], roots = lo, hi, pts[1:5]
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN or inf where no root is finite
         q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-        np.divide(q, c2, out=roots[:2])
-        np.divide(c0, q, out=roots[2:])
-    np.minimum(np.fmax(np.add(roots, lo, out=roots), lo, out=roots), hi, out=roots)  # NaN: lo
-    for i, j in (1, 2), (3, 4), (1, 3), (2, 4), (2, 3):  # a sorting network on the roots
-        pts[i], pts[j] = np.minimum(pts[i], pts[j]), np.maximum(pts[i], pts[j])
+        r0, r1 = np.minimum(np.fmax(lo + np.array([q / c2, c0 / q]), lo), hi)  # NaN: lo
+    pts = np.array([np.full_like(q, lo), np.minimum(r0, r1), np.maximum(r0, r1),
+                    np.full_like(q, hi)])  # per sample: lo, the two roots in order, hi
     s = 0.5 * (pts[1:] + pts[:-1]) - lo  # segment midpoints, as f - lo
-    dead = (pts[1:] > pts[:-1]) & ((c2[0] * s + c1[0]) * s + c0[0] < 0.0)
-    dead &= (c2[1] * s + c1[1]) * s + c0[1] < 0.0
+    dead = (pts[1:] > pts[:-1]) & ((c2 * s + c1) * s + c0 < 0.0)
     # the union: sorted starts and sorted stops part where a stop precedes the next start
     starts, stops = np.sort(pts[:-1][dead]), np.sort(pts[1:][dead])
     gaps = np.flatnonzero(stops[:-1] < starts[1:])

@@ -62,6 +62,8 @@ class WaveguideParams:
     def __post_init__(self):
         check_fields(self, ("gamma", "gamma_nr", "lambda_ratio", "delta_bare", "g"),
                      ("gamma", "gamma_nr"), ("lambda_ratio",))
+        if math.isinf(3 * (TWO_PI / self.lambda_ratio)):  # derive_rates' 3 phi
+            raise ValueError(f"6*pi/lambda_ratio overflows at lambda_ratio {self.lambda_ratio}")
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def pw_xstate(f: float) -> XState:
 
 
 #: X vectors of each state family at a fidelity f, or at an array of them.  Each must be
-#: affine in f: entangle.death_set takes every f's trajectory from those of two.
+#: affine in f, with w = 0: entangle.death_set interpolates two trajectories and reads F alone.
 FAMILIES = {"werner": werner_vector, "pw": pw_vector}
 
 

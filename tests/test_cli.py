@@ -624,6 +624,17 @@ class TestExitCodes:
         (["evolve", "--f", "5", "--lambda-ratio", "1.5"], "werner fidelity"),
         (["evolve", "--f", "0.1", "--lambda-ratio", "1.5"], "werner fidelity"),
         (["scan", "--f-range", "0.9", "--lambda-ratios", "1.5,-1"], "lambda_ratio"),
+        # with no f rows the ratios and the time grid are still checked
+        (["scan", "--lambda-ratios", "-1"], "lambda_ratio"),
+        (["scan", "--lambda-ratios", "1.5", "--t-max", "-1"], "t_max"),
+        # the phase 3 phi = 6 pi/lambda_ratio overflows (at 1e-320, phi too)
+        (["rates", "--range", "1e-320"], "lambda_ratio"),
+        (["rates", "--range", "3.6e-308"], "lambda_ratio"),
+        (["evolve", "--f", "0.9", "--lambda-ratio", "1e-320"], "lambda_ratio"),
+        (["scan", "--f-range", "0.9", "--lambda-ratios", "1e-320"], "lambda_ratio"),
+        # the wavelength overflows, or is zero
+        (["cpw", "--width", "20", "--gap", "8", "--freq", "1e-320"], "freq"),
+        (["cpw", "--width", "20", "--gap", "8", "--freq", "1e300"], "freq"),
     ])
     def test_bad_input_is_usage_error(self, argv, field, capsys):
         assert main(argv) == EXIT_USAGE

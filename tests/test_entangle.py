@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wgqed.entangle
-from wgqed.dynamics import Trajectory, XState, evolve_xstate
+from wgqed.dynamics import Trajectory, XState, evolve_xstate, xstate_basis
 from wgqed.entangle import (
     DEAD_EPS,
     DEATH_HOLD,
@@ -24,7 +24,7 @@ from wgqed.entangle import (
     trajectory_concurrences,
 )
 from wgqed.model import WaveguideParams, derive_rates, mhz
-from wgqed.states import pw_xstate, werner_xstate
+from wgqed.states import FAMILIES, pw_xstate, werner_xstate
 from xstate_oracles import dies_by_repropagation, random_xstate
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
@@ -336,6 +336,16 @@ class TestEsdThreshold:
         assume(all(abs(f - end) > 1e-7 for span in spans for end in span) or f in (lo, 1.0))
         inside = any(start <= f <= stop for start, stop in spans)
         assert inside == dies_by_repropagation(ratio, PARAMS, family, f)
+
+    def test_w_is_zero_on_every_family_trajectory(self):
+        # death_set decides from the F margin alone, which needs w = 0 along each trajectory:
+        # every family row starts with Re w = Im w = 0 exactly, and the X generator couples
+        # (Re w, Im w) to no other coordinate, in either direction
+        for make in FAMILIES.values():
+            assert not make(np.linspace(0.25, 1.0, 76))[:, 6:].any()
+        basis = xstate_basis().reshape(6, 8, 8)
+        assert not basis[:, 6:, :6].any()
+        assert not basis[:, :6, 6:].any()
 
     def test_one_propagation_per_call(self, monkeypatch):
         calls = []
