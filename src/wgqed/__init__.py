@@ -1,7 +1,6 @@
 """Entanglement dynamics of two qubits coupled to a shorted transmission line."""
 
 from .linalg import (
-    expm_skew,
     fidelity,
     partial_trace,
     tensor,

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_fields
+
 C_LIGHT = 299792458.0  # m/s
 
 AGM_TOL = 1e-12
@@ -39,8 +41,8 @@ class CpwGeometry:
     eps_r: float
 
     def __post_init__(self):
-        if self.center_width <= 0 or self.gap_width <= 0:
-            raise ValueError("center_width and gap_width must be > 0")
+        check_fields(self, ("center_width", "gap_width", "eps_r"), (),
+                     ("center_width", "gap_width"))
         if self.eps_r < 1:
             raise ValueError(f"eps_r must be >= 1, got {self.eps_r}")
 
@@ -79,4 +81,7 @@ def lambda_ratio_for_freq(freq_ghz: float, geom: CpwGeometry, x2_mm: float = 18.
     lam = wavelength(2.0 * np.pi * freq_ghz * 1e9, derived.v_ph)
     if not 0.0 < lam < np.inf:
         raise ValueError(f"freq_ghz must give a finite, nonzero wavelength, got {freq_ghz}")
-    return lam / (x2_mm * 1e-3)
+    x2_m = x2_mm * 1e-3  # 0 once x2_mm underflows
+    if not (x2_m > 0 and 0.0 < lam / x2_m < np.inf):
+        raise ValueError(f"x2_mm must give a finite, nonzero lambda / x2, got {x2_mm}")
+    return lam / x2_m

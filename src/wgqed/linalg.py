@@ -94,16 +94,6 @@ def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     return out.reshape(2 ** (n - 1), -1)
 
 
-def expm_skew(h: np.ndarray, theta: float) -> np.ndarray:
-    """Unitary exp(i * theta * h) for Hermitian h, by spectral decomposition."""
-    h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
-    if defect > STRUCT_TOL:
-        raise ValueError(f"generator is not Hermitian: max asymmetry {defect:.3e}")
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
-
-
 def _pade_rows(m: int) -> np.ndarray:
     """Coefficients of the [m/m] Padé approximant p(A)/p(-A) to exp(A).
 

@@ -14,7 +14,6 @@ from .linalg import (
     SIGMA_X,
     XY_EXCHANGE,
     check_density_matrix,
-    expm_skew,
     partial_trace,
     sector,
     tensor,
@@ -77,6 +76,10 @@ def pw_xstate(f: float) -> XState:
 FAMILIES = {"werner": werner_vector, "pw": pw_vector}
 
 
+#: exchange angles of the a-b gate and the b-c gate; a gate of strength g lasts angle / g
+GATE_ANGLES = (np.pi / 4, np.pi / 6)
+
+
 @dataclass(frozen=True)
 class PrepConfig:
     """Knobs for the three-qubit pseudo-Werner preparation protocol."""
@@ -91,8 +94,12 @@ class PrepConfig:
         if not 0.0 <= self.f <= 1.0:
             raise ValueError(f"f must be in [0, 1], got {self.f}")
         check_fields(self, ("g_strength", "g_bc_strength", "gamma_nr"), ("gamma_nr",))
-        if self.with_dissipation and (self.g_strength <= 0 or self.g_bc_strength <= 0):
-            raise ValueError("dissipative mode needs positive coupling strengths")
+        for name, angle in zip(("g_strength", "g_bc_strength"), GATE_ANGLES):
+            g = getattr(self, name)
+            # exact mode ignores the strengths; (pi/4)/1e-320 overflows
+            if self.with_dissipation and (g <= 0 or np.isinf(angle / g)):
+                raise ValueError("dissipative mode needs positive coupling strengths with "
+                                 f"finite gate times, got {name} = {g}")
 
 
 @dataclass
@@ -117,10 +124,12 @@ Q0_CBA = sector(3, 0)
 def prepare_pw(cfg: PrepConfig) -> PrepResult:
     """Three-qubit protocol producing the pseudo-Werner state of the a/b pair.
 
-    Register ordering is |c b a> (auxiliary qubit c slowest).  Exact mode
-    applies the two exchange rotations as unitaries; dissipative mode
-    propagates them as Lindblad evolutions with amplitude damping at
-    gamma_nr on every qubit, gate times set by the coupling strengths.
+    Register ordering is |c b a> (auxiliary qubit c slowest).  Both modes
+    propagate the 20-dimensional sector q = 0 of the register through two
+    exchange gates of angles pi/4 and pi/6.  Dissipative mode sets the gate
+    times from the coupling strengths and damps every qubit at gamma_nr;
+    exact mode is its lossless case, gamma_nr = 0, where the angles alone
+    fix the result and unit strengths stand in for g and g_bc.
     """
     f = cfg.f
     rho_a = np.diag([f, 1 - f]).astype(complex)
@@ -128,28 +137,21 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
     rho_c = np.diag([1.0, 0.0]).astype(complex)  # ground
     rho1 = tensor_all(rho_c, rho_b, rho_a)
 
-    if not cfg.with_dissipation:
-        u1 = expm_skew(XY_BA, np.pi / 4)
-        rho2 = u1 @ rho1 @ u1.conj().T
-        u2 = expm_skew(XY_CB, np.pi / 6)
-        rho3 = u2 @ rho2 @ u2.conj().T
-        durations = None
+    if cfg.with_dissipation:
+        g, g_bc, gamma_nr = cfg.g_strength, cfg.g_bc_strength, cfg.gamma_nr
     else:
-        t1 = (np.pi / 4) / cfg.g_strength
-        t2 = (np.pi / 6) / cfg.g_bc_strength
-        # -g * XY so the Lindblad propagator matches the exact-mode phase
-        # convention exp(+i theta XY) rho exp(-i theta XY)
-        rho2 = _dissipative_gate(rho1, -cfg.g_strength * XY_BA, t1, cfg.gamma_nr)
-        rho3 = _dissipative_gate(rho2, -cfg.g_bc_strength * XY_CB, t2, cfg.gamma_nr)
-        durations = (t1, t2)
+        g, g_bc, gamma_nr = 1.0, 1.0, 0.0
+    t1, t2 = GATE_ANGLES[0] / g, GATE_ANGLES[1] / g_bc
+    # -g * XY gives the rotation exp(+i theta XY) rho exp(-i theta XY)
+    rho2 = _gate(rho1, -g * XY_BA, t1, gamma_nr)
+    rho3 = _gate(rho2, -g_bc * XY_CB, t2, gamma_nr)
 
     rho_out = partial_trace(rho3, "first")
     return PrepResult(rho1=rho1, rho2=rho2, rho3=rho3, rho_out=rho_out,
-                      gate_durations_us=durations)
+                      gate_durations_us=(t1, t2) if cfg.with_dissipation else None)
 
 
-def _dissipative_gate(rho: np.ndarray, h: np.ndarray, duration: float,
-                      gamma_nr: float) -> np.ndarray:
+def _gate(rho: np.ndarray, h: np.ndarray, duration: float, gamma_nr: float) -> np.ndarray:
     gen = lindblad_generator(h, LOWERING_CBA, gamma_nr * np.eye(3))[np.ix_(Q0_CBA, Q0_CBA)]
     out = np.zeros(64, dtype=complex)
     out[Q0_CBA] = propagate(gen, rho.reshape(-1)[Q0_CBA], duration, 1)[-1]
@@ -230,8 +232,8 @@ def wait_time_for_f(f: float, gamma_nr: float) -> float:
     """
     if not 0.5 <= f < 1.0:
         raise ValueError(f"f must be in [0.5, 1), got {f}")
-    if gamma_nr <= 0:
-        raise ValueError("gamma_nr must be > 0")
+    if not 0 < gamma_nr < np.inf:
+        raise ValueError(f"gamma_nr must be finite and > 0, got {gamma_nr}")
     t = np.log(1.0 / (2.0 * (1.0 - f))) / gamma_nr
     if t > WAIT_CAP_US:
         raise ValueError(f"required wait {t:.3g} us exceeds cap {WAIT_CAP_US:g} us")

@@ -635,6 +635,11 @@ class TestExitCodes:
         # the wavelength overflows, or is zero
         (["cpw", "--width", "20", "--gap", "8", "--freq", "1e-320"], "freq"),
         (["cpw", "--width", "20", "--gap", "8", "--freq", "1e300"], "freq"),
+        # x2 in m underflows to 0, or lambda / x2 overflows
+        (["cpw", "--width", "20", "--gap", "8", "--freq", "7", "--x2", "1e-322"], "x2"),
+        (["cpw", "--width", "20", "--gap", "8", "--freq", "7", "--x2", "1e-320"], "x2"),
+        # the gate time (pi/4)/g overflows
+        (["prepare", "--f", "0.8", "--dissipative", "--g", "1e-320"], "g_strength"),
     ])
     def test_bad_input_is_usage_error(self, argv, field, capsys):
         assert main(argv) == EXIT_USAGE

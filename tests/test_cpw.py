@@ -43,6 +43,14 @@ class TestGeometry:
         with pytest.raises(ValueError):
             CpwGeometry(center_width=1.0, gap_width=1.0, eps_r=0.5)
 
+    @pytest.mark.parametrize("field", ["center_width", "gap_width", "eps_r"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        # eps_r = inf gave Z0 = 0 and v_ph = 0
+        kwargs = {"center_width": 20.0, "gap_width": 8.0, "eps_r": 9.8, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CpwGeometry(**kwargs)
+
 
 class TestDerive:
     def test_effective_permittivity_is_average(self):

@@ -20,7 +20,6 @@ from wgqed.linalg import (
     XY_EXCHANGE,
     check_density_matrix,
     expm,
-    expm_skew,
     fidelity,
     partial_trace,
     tensor,
@@ -136,24 +135,6 @@ class TestPartialTrace:
             partial_trace(np.eye(4), "top")
         with pytest.raises(ValueError, match="3-qubit"):
             partial_trace(np.eye(4), "middle")
-
-
-class TestExpmSkew:
-    def test_matches_scipy(self):
-        h = random_density(4) * 3
-        h = h + h.conj().T
-        theta = 0.7
-        for t in (theta, -theta):
-            expected = scipy.linalg.expm(1j * t * h)
-            np.testing.assert_allclose(expm_skew(h, t), expected, atol=1e-12)
-
-    def test_unitary(self):
-        u = expm_skew(XY_EXCHANGE, np.pi / 5)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            expm_skew(SIGMA_MINUS, 1.0)
 
 
 class TestFidelity:

@@ -1,7 +1,8 @@
 """Excitation-number sectors: every generator the package builds maps each sector
-q = n(i) - n(j) of vec(rho) into itself, and the X maps and the dissipative gates
+q = n(i) - n(j) of vec(rho) into itself, and the X maps and the preparation gates
 are built on them."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -83,14 +84,17 @@ MHZ = st.floats(0.5, 50.0)
 def test_dissipative_gates_keep_sectors_and_match_the_full_propagation(f, g, g_bc, gamma_nr):
     cfg = PrepConfig(f=f, with_dissipation=True, g_strength=mhz(g), g_bc_strength=mhz(g_bc),
                      gamma_nr=mhz(gamma_nr))
-    gens = built_generators(lambda: prepare_pw(cfg))
-    assert len(gens) == 2 and not any(leaves_sectors(gen, 3) for gen in gens)
-    res = prepare_pw(cfg)
+    exact_cfg = replace(cfg, with_dissipation=False)  # ignores g, g_bc and gamma_nr
+    gens = built_generators(lambda: (prepare_pw(cfg), prepare_pw(exact_cfg)))
+    assert len(gens) == 4 and not any(leaves_sectors(gen, 3) for gen in gens)
+    res, exact = prepare_pw(cfg), prepare_pw(exact_cfg)
+    lossless = prepare_pw(replace(cfg, gamma_nr=0.0))
     t1, t2 = res.gate_durations_us
     rho2 = dissipative_gate_unrestricted(res.rho1, -mhz(g) * XY_BA, t1, mhz(gamma_nr))
     rho3 = dissipative_gate_unrestricted(rho2, -mhz(g_bc) * XY_CB, t2, mhz(gamma_nr))
     off = charges(3) != 0
-    for got, full in ((res.rho2, rho2), (res.rho3, rho3)):
+    for got, full in ((res.rho2, rho2), (res.rho3, rho3), (exact.rho2, lossless.rho2),
+                      (exact.rho3, lossless.rho3)):
         assert (got.reshape(-1)[off] == 0.0).all()
         assert np.abs(got - full).max() <= 1e-15
 

@@ -239,3 +239,9 @@ class TestWaitTime:
             wait_time_for_f(0.8, 0.0)
         with pytest.raises(ValueError, match="cap"):
             wait_time_for_f(1.0 - 1e-12, 1e-3)
+
+    @pytest.mark.parametrize("gamma_nr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, gamma_nr):
+        # nan gave a nan wait, inf a wait of 0
+        with pytest.raises(ValueError, match="gamma_nr must be finite"):
+            wait_time_for_f(0.7, gamma_nr)
