@@ -16,9 +16,10 @@ from .model import (
 from .dynamics import (
     IntegrationError,
     Trajectory,
-    XState,
     evolve_full,
     evolve_xstate,
+    off_x_leakage,
+    x_matrix,
 )
 from .entangle import (
     EsdReport,
@@ -36,10 +37,10 @@ from .states import (
     mixed_qubit,
     prepare_pw,
     pseudo_werner,
-    pw_xstate,
+    pw_vector,
     wait_time_for_f,
     werner,
-    werner_xstate,
+    werner_vector,
 )
 from .cpw import CpwDerived, CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
 

@@ -363,10 +363,11 @@ def add_shared(sp, *flags: str):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wgqed", description=__doc__.splitlines()[0])
+    # no abbreviations: a removed flag must not resolve to a longer one (--gamma to --gamma-nr)
+    parser = argparse.ArgumentParser(prog="wgqed", description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("--version", action="version", version=GENERATED_BY)
     sub = parser.add_subparsers(dest="command", required=True)
-    # no abbreviations: a removed flag must not resolve to a longer one (--gamma to --gamma-nr)
     new = functools.partial(sub.add_parser, allow_abbrev=False)
 
     sp = new("rates", help="derived rates vs wavelength ratio")

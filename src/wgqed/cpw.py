@@ -18,18 +18,19 @@ C_LIGHT = 299792458.0  # m/s
 AGM_TOL = 1e-12
 
 
-def ellipk_agm(k: float) -> float:
-    """Complete elliptic integral of the first kind K(k), modulus convention.
+def ellipk_agm(kp: float) -> float:
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, kp)), given the
+    complementary modulus kp = sqrt(1 - k^2), so that no 1 - k^2 rounds to 1 at a small k.
 
-    Arithmetic-geometric mean iteration, quadratically convergent to
-    ``AGM_TOL``.
+    Arithmetic-geometric mean iteration, quadratically convergent: once
+    a - b <= ``AGM_TOL``, the mean of the last pair is the AGM to rounding.
     """
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must be in [0, 1), got {k}")
-    a, b = 1.0, float(np.sqrt(1.0 - k * k))
-    while abs(a - b) > AGM_TOL:
+    if not 0.0 < kp <= 1.0:
+        raise ValueError(f"complementary modulus must be in (0, 1], got {kp}")
+    a, b = 1.0, float(kp)
+    while a - b > AGM_TOL:
         a, b = 0.5 * (a + b), float(np.sqrt(a * b))
-    return float(np.pi / (2.0 * a))
+    return float(np.pi / (a + b))
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,10 @@ def cpw_derive(g: CpwGeometry) -> CpwDerived:
     k = g.center_width / (g.center_width + 2.0 * g.gap_width)
     if k <= 0.0 or k >= 1.0:
         raise ValueError(f"degenerate geometry modulus k = {k}")
-    kp = float(np.sqrt(1.0 - k * k))
+    kp = float(np.sqrt((1.0 - k) * (1.0 + k)))
     eps_eff = (g.eps_r + 1.0) / 2.0
-    z0 = 30.0 * np.pi * ellipk_agm(kp) / (np.sqrt(eps_eff) * ellipk_agm(k))
+    # K(kp) / K(k): each modulus is the other's complement
+    z0 = 30.0 * np.pi * ellipk_agm(k) / (np.sqrt(eps_eff) * ellipk_agm(kp))
     return CpwDerived(z0=float(z0), v_ph=C_LIGHT / float(np.sqrt(eps_eff)),
                       eps_eff=eps_eff)
 

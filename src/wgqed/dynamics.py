@@ -43,58 +43,23 @@ class IntegrationError(RuntimeError):
         self.last_time = last_time
 
 
-@dataclass(frozen=True)
-class XState:
-    """The six independent elements of an X-shape two-qubit density matrix.
-
-    a, b, c, d are the |00>, |01>, |10>, |11> populations (qubit a is the
-    fast index, so b is the a-excited population); z = <01|rho|10> is the
-    inner coherence and w = <00|rho|11> the outer one.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    z: complex = 0j
-    w: complex = 0j
-
-    def validate(self, tol: float = STRUCT_TOL) -> "XState":
-        bad = xstate_violation(self.to_vector(), tol)
-        if bad is not None:
-            raise ValueError(bad[1])
-        return self
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
-        m[1, 2], m[2, 1] = self.z, np.conj(self.z)
-        m[0, 3], m[3, 0] = self.w, np.conj(self.w)
-        return m
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d,
-                         self.z.real, self.z.imag, self.w.real, self.w.imag])
-
-    def __array__(self, *args, **kwargs) -> np.ndarray:
-        return self.to_vector()  # so np.asarray reads a sequence of XStates as an (m, 8) stack
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "XState":
-        return cls(a=float(v[0]), b=float(v[1]), c=float(v[2]), d=float(v[3]),
-                   z=complex(v[4], v[5]), w=complex(v[6], v[7]))
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, leak_tol: float | None = None) -> "XState":
-        if leak_tol is not None and off_x_leakage(m) > leak_tol:
-            raise ValueError(f"off-X leakage {off_x_leakage(m):.3e} exceeds {leak_tol}")
-        return cls(a=m[0, 0].real, b=m[1, 1].real, c=m[2, 2].real, d=m[3, 3].real,
-                   z=complex(m[1, 2]), w=complex(m[0, 3]))
-
-
 def off_x_leakage(m: np.ndarray) -> float:
     """Largest magnitude among elements outside the diagonal/anti-diagonal (X_IN's support)."""
     return float(np.max(np.abs(m[~X_IN.any(axis=1).reshape(4, 4)])))
+
+
+def x_matrix(xs: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) complex matrices of an (..., 8) array of X vectors (a, b, c, d, Re z, Im z,
+    Re w, Im w), written by index: the |00>, |01>, |10>, |11> populations a, b, c, d (qubit a is
+    the fast index, so b is the a-excited one) on the diagonal, the inner coherence
+    z = <01|rho|10> at [1, 2] and the outer one w = <00|rho|11> at [0, 3], their conjugates at
+    [2, 1] and [3, 0], zero elsewhere.  Not X_IN @ xs, which would spread a NaN everywhere."""
+    xs = np.asarray(xs, dtype=float)
+    m = np.zeros((*xs.shape[:-1], 4, 4), dtype=complex)
+    rows, cols = [0, 1, 2, 3, 1, 2, 0, 3], [0, 1, 2, 3, 2, 1, 3, 0]  # a, b, c, d, z, z*, w, w*
+    m.real[..., rows, cols] = xs[..., [0, 1, 2, 3, 4, 4, 6, 6]]
+    m.imag[..., rows[4:], cols[4:]] = xs[..., [5, 5, 7, 7]] * [1, -1, 1, -1]
+    return m
 
 
 def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str] | None:
@@ -121,9 +86,10 @@ def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str]
     if not len(rows):
         return None
     k = int(rows[0])
-    x = XState.from_vector(xs[k])
-    pops = (x.a, x.b, x.c, x.d)
-    reasons = [f"element {n}={getattr(x, n)} is not finite" for n in "abcdzw"]
+    row = xs[k].tolist()
+    pops = row[:4]
+    elements = [*pops, complex(row[4], row[5]), complex(row[6], row[7])]
+    reasons = [f"element {n}={x} is not finite" for n, x in zip("abcdzw", elements)]
     reasons.append(f"populations sum to {sum(pops)}, not 1")
     reasons += [f"population {n}={v} outside [0, 1]" for n, v in zip("abcd", pops)]
     reasons += ["|z|^2 exceeds b*c: inner block not PSD",
@@ -135,8 +101,8 @@ def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str]
 class Trajectory:
     """Time-ordered samples of a master-equation propagation run.
 
-    ``states``: (n_t, 8) real X coordinates (:meth:`XState.to_vector`) from
-    :func:`evolve_xstate`, or (n_t, 4, 4) complex matrices from :func:`evolve_full`.
+    ``states``: (n_t, 8) real X vectors (a, b, c, d, Re z, Im z, Re w, Im w; :func:`x_matrix`)
+    from :func:`evolve_xstate`, or (n_t, 4, 4) complex matrices from :func:`evolve_full`.
     """
 
     times: np.ndarray
@@ -243,8 +209,8 @@ def evolve_xstate(x0: np.ndarray, r: DerivedRates, p: WaveguideParams, t_max: fl
                   sample_dt: float) -> Trajectory:
     """Propagate the eight real X-manifold coordinates (fast path).
 
-    An X vector (or XState) gives (n_t, 8) states; an (m, 8) stack (or m XStates) is propagated
-    as one and gives (n_t, m, 8).  The 8x8 generator is :func:`xstate_basis`'s: no 16x16 build.
+    An X vector gives (n_t, 8) states; an (m, 8) stack is propagated as one and gives
+    (n_t, m, 8).  The 8x8 generator is :func:`xstate_basis`'s: no 16x16 build.
     """
     y0 = np.asarray(x0, dtype=float)
     bad = xstate_violation(y0)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import SIGMA_Y, check_density_matrix, tensor
-from .dynamics import SAMPLE_TOL, Trajectory, XState, evolve_xstate
+from .dynamics import SAMPLE_TOL, Trajectory, evolve_xstate, xstate_violation
 from .model import WaveguideParams, derive_rates
 from .states import FAMILIES
 
@@ -55,14 +55,16 @@ def margins(xs: np.ndarray) -> np.ndarray:
     return np.multiply(np.maximum(f, g, out=f), 2.0, out=f)[()]
 
 
-def concurrence_x(x: XState) -> float:
-    """Closed-form concurrence of an X-shape state, in [0, 1].
+def concurrence_x(x: np.ndarray) -> float:
+    """Closed-form concurrence of one X vector (a, b, c, d, Re z, Im z, Re w, Im w), in [0, 1].
 
     The state is validated to SAMPLE_TOL, so propagated samples, which
     carry accumulated round-off, still pass.
     """
-    x.validate(tol=SAMPLE_TOL)
-    return float(np.clip(margins(x.to_vector()), 0.0, 1.0))
+    bad = xstate_violation(x, SAMPLE_TOL)
+    if bad is not None:
+        raise ValueError(bad[1])
+    return float(np.clip(margins(x), 0.0, 1.0))
 
 
 def concurrence_wootters(rho: np.ndarray) -> float:

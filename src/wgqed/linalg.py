@@ -198,10 +198,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped to [0, 1]."""
-    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    ev = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.clip(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2, 0.0, 1.0))
+    """Uhlmann fidelity (Tr |sqrt(rho) sqrt(sigma)|)^2, clipped to [0, 1]: the squared sum of
+    the singular values of sqrt(rho) sqrt(sigma), whose round-off stays relative near F = 1, where
+    the spectrum of sqrt(rho) sigma sqrt(rho), the square of theirs, loses u / (2 lambda_min)."""
+    roots = []
+    for m in (rho, sigma):
+        m = np.asarray(m, dtype=complex)
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    s = np.linalg.svd(roots[0] @ roots[1], compute_uv=False)
+    return float(np.clip(np.sum(s) ** 2, 0.0, 1.0))

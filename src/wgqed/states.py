@@ -19,7 +19,7 @@ from .linalg import (
     tensor,
     tensor_all,
 )
-from .dynamics import XState, grid_steps, propagate
+from .dynamics import grid_steps, propagate, x_matrix
 from .model import check_fields, lindblad_generator, mhz
 
 WAIT_CAP_US = 1e4
@@ -37,27 +37,20 @@ def _fidelities(f, family: str, lo: float, hi: float, slack: float) -> tuple:
 
 def werner(f: float) -> np.ndarray:
     """Mixture of the Bell singlet with the maximally mixed state."""
-    return werner_xstate(f).to_matrix()
+    return x_matrix(werner_vector(f))
 
 
 def werner_vector(f) -> np.ndarray:
-    """X vectors (:meth:`XState.to_vector`) of Werner states: (8,) at one f, (m, 8) at m."""
+    """X vectors (:func:`wgqed.dynamics.x_matrix`) of Werner states: (8,) at one f, (m, 8) at m."""
     # the slack admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
     f, zero = _fidelities(f, "werner", 0.25, 1.0, STRUCT_TOL)
     a, b = (1 - f) / 3, (1 + 2 * f) / 6
     return np.array([a, b, b, a, (1 - 4 * f) / 6, zero, zero, zero]).T
 
 
-def werner_xstate(f: float) -> XState:
-    return XState.from_vector(werner_vector(f))
-
-
 def pseudo_werner(f: float) -> np.ndarray:
     """X-shape alternative to the Werner state, preparable by the exchange protocol."""
-    x = pw_vector(f)
-    rho = np.diag(x[:4] + 0j)
-    rho[1, 2], rho[2, 1] = 1j * x[5], np.conj(1j * x[5])
-    return rho
+    return x_matrix(pw_vector(f))
 
 
 def pw_vector(f) -> np.ndarray:
@@ -65,10 +58,6 @@ def pw_vector(f) -> np.ndarray:
     f, zero = _fidelities(f, "pseudo-Werner", 0.0, 1.0, 0.0)
     return np.array([f / 8, (1 + f) / 4, 3 * f / 8, 3 * (1 - f) / 4,
                      zero, np.sqrt(3) * f / 4, zero, zero]).T
-
-
-def pw_xstate(f: float) -> XState:
-    return XState.from_vector(pw_vector(f))
 
 
 #: X vectors of each state family at a fidelity f, or at an array of them.  Each must be

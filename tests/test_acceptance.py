@@ -21,14 +21,15 @@ from wgqed import (
     mhz,
     mixed_qubit,
     prepare_pw,
+    off_x_leakage,
     pseudo_werner,
     pw_concurrence_closed,
-    pw_xstate,
+    pw_vector,
     wait_time_for_f,
-    werner_xstate,
+    werner_vector,
+    x_matrix,
 )
 from wgqed.cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from wgqed.dynamics import XState, off_x_leakage
 from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, build_generator
 from wgqed.states import PrepConfig, RabiConfig
@@ -86,7 +87,7 @@ def test_criterion_03_pw_closed_form(criterion_log):
     low = np.linspace(0.0, 1.0 / 3.0, 100)
     checks.append(all(pw_concurrence_closed(f) == 0.0 for f in low))
     grid = np.linspace(0.0, 1.0, 101)
-    gap = max(abs(pw_concurrence_closed(f) - concurrence_x(pw_xstate(f)))
+    gap = max(abs(pw_concurrence_closed(f) - concurrence_x(pw_vector(f)))
               for f in grid)
     checks.append(gap <= 1e-12)
     _verdict(criterion_log, 3,
@@ -143,10 +144,10 @@ def test_criterion_05_fast_path_equivalence(criterion_log):
         for _ in range(20):
             x0 = random_xstate(rng)
             fast = evolve_xstate(x0, r, p, 0.5, 0.005)
-            full = evolve_full(x0.to_matrix(), gen, 0.5, 0.005, rates=r)
+            full = evolve_full(x_matrix(x0), gen, 0.5, 0.005, rates=r)
             X_TRAJS.append(fast)
             FULL_TRAJS.append(full)
-            gap = max(np.max(np.abs(m - XState.from_vector(x).to_matrix()))
+            gap = max(np.max(np.abs(m - x_matrix(x)))
                       for m, x in zip(full.states, fast.states))
             worst = max(worst, float(gap))
     _verdict(criterion_log, 5,
@@ -167,7 +168,7 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     r2 = derive_rates(p2)
     t_max = 6.0 / min(r2.gamma_a, r2.gamma_b)
     for f in np.arange(0.3, 1.001, 0.1):
-        traj = evolve_xstate(werner_xstate(float(f)), r2, p2, t_max, t_max / 1500)
+        traj = evolve_xstate(werner_vector(float(f)), r2, p2, t_max, t_max / 1500)
         X_TRAJS.append(traj)
         if _events(traj).revival_times:
             failures.append(f"revival at ratio 2, f={f:.1f}")
@@ -176,7 +177,7 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     for ratio in (1.5, 1.3):
         p = _with_ratio(ratio)
         r = derive_rates(p)
-        traj = evolve_xstate(werner_xstate(0.9), r, p, 2.0, 2.0 / 2000)
+        traj = evolve_xstate(werner_vector(0.9), r, p, 2.0, 2.0 / 2000)
         X_TRAJS.append(traj)
         rep = _events(traj)
         if not (rep.death_times and rep.revival_times
@@ -187,7 +188,7 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     # concurrence (pseudo-Werner initial state)
     p = _with_ratio(1.2)
     r = derive_rates(p)
-    traj = evolve_xstate(pw_xstate(0.9), r, p, 2.0, 2.0 / 2000)
+    traj = evolve_xstate(pw_vector(0.9), r, p, 2.0, 2.0 / 2000)
     X_TRAJS.append(traj)
     rep = _events(traj)
     if not (rep.death_times and rep.revival_times
@@ -206,7 +207,7 @@ def test_criterion_07_concurrence_oracle_equivalence(criterion_log):
     worst = 0.0
     for _ in range(1000):
         x = random_xstate(rng)
-        worst = max(worst, abs(concurrence_x(x) - concurrence_wootters(x.to_matrix())))
+        worst = max(worst, abs(concurrence_x(x) - concurrence_wootters(x_matrix(x))))
     _verdict(criterion_log, 7,
              "closed-form X-state concurrence equals the general spin-flip "
              "formula within 1e-10 on 1000 random states",
@@ -272,7 +273,7 @@ def test_criterion_10_structural_invariants(criterion_log):
     worst_trace, worst_eig, worst_leak = 0.0, 0.0, 0.0
     for traj in X_TRAJS:
         for x in traj.states:
-            m = XState.from_vector(x).to_matrix()
+            m = x_matrix(x)
             worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(m).min()))
     for traj in FULL_TRAJS:

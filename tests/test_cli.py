@@ -30,10 +30,11 @@ from wgqed.cli import (
     main,
     parse_range,
 )
-from wgqed.dynamics import MAX_SAMPLES, Trajectory, XState, evolve_xstate
+from wgqed.dynamics import MAX_SAMPLES, Trajectory, evolve_xstate
 from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
-from wgqed.states import werner_xstate
+from wgqed.states import werner_vector
+from xstate_oracles import x_vector
 
 
 class TestParseRange:
@@ -216,7 +217,7 @@ class TestScan:
     def test_bad_cell_in_a_stack_is_marked_alone(self, monkeypatch, tmp_path, capsys):
         # a fault that spoils one state of a stack: the stack is redone cell by
         # cell, so only that cell is marked, under its own message
-        spoiled = werner_xstate(parse_range("0.7:0.9:0.1")[1]).to_vector()
+        spoiled = werner_vector(parse_range("0.7:0.9:0.1")[1])
 
         def faulty_evolve(x0s, *args):
             traj = evolve_xstate(x0s, *args)
@@ -246,7 +247,7 @@ def count_calls(monkeypatch, module) -> list[int]:
     calls = []
 
     def counted(x0, *args):
-        calls.append(1 if isinstance(x0, XState) else len(x0))
+        calls.append(len(np.reshape(x0, (-1, 8))))
         return evolve_xstate(x0, *args)
 
     monkeypatch.setattr(module, "evolve_xstate", counted)
@@ -678,6 +679,14 @@ class TestExitCodes:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--vers"], ["--he"]])
+    def test_abbreviated_top_level_flag_is_usage_error(self, argv, capsys):
+        # --version and --help spelled in full exit 0; a prefix of either is not resolved
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv", [
         EVOLVE + ["--t-max", "1", "--sample-dt", "1e-9"],
         # a range is capped alike, before its grid is allocated
@@ -724,7 +733,7 @@ class TestExitCodes:
 class TestCheckTrajectoryInvariants:
     def test_names_the_time_of_the_bad_row(self):
         times = np.linspace(0.0, 0.9, 10)
-        states = np.tile(XState(a=0.4, b=0.3, c=0.2, d=0.1).to_vector(), (10, 1))
+        states = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (10, 1))
         check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
         states[6, :4] = [0.3, 1.2, -0.5, 0.0]  # unit trace, b and c out of range
         with pytest.raises(InvariantViolation,
@@ -733,7 +742,7 @@ class TestCheckTrajectoryInvariants:
 
     def test_names_the_time_of_the_bad_row_of_a_stack(self):
         times = np.linspace(0.0, 0.9, 10)
-        states = np.tile(XState(a=0.4, b=0.3, c=0.2, d=0.1).to_vector(), (10, 3, 1))
+        states = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (10, 3, 1))
         states[6, 2, :4] = [0.3, 1.2, -0.5, 0.0]  # flat row 20, past the last sample
         with pytest.raises(InvariantViolation, match=r"^sample at t = 0\.6 us: population b"):
             check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
@@ -745,7 +754,7 @@ def test_evolve_samples_follow_the_header(tmp_path):
     argv = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "0.1",
             "--sample-dt", "0.01"]
     p = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=1.5)
-    traj = evolve_xstate(werner_xstate(0.9), derive_rates(p), p, 0.1, 0.01)
+    traj = evolve_xstate(werner_vector(0.9), derive_rates(p), p, 0.1, 0.01)
     rows = np.column_stack([traj.times, trajectory_concurrences(traj), traj.states]).tolist()
     csv_out, json_out = tmp_path / "traj.csv", tmp_path / "traj.json"
     assert main(argv + ["--out", str(csv_out)]) == EXIT_OK

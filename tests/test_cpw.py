@@ -1,5 +1,6 @@
 """Unit tests for the coplanar-waveguide calculator."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -17,19 +18,20 @@ from wgqed.cpw import (
 
 
 class TestEllipk:
+    # ellipk_agm takes the complementary modulus kp = sqrt(1 - k^2)
     def test_zero_modulus(self):
-        assert ellipk_agm(0.0) == pytest.approx(np.pi / 2, abs=1e-14)
+        assert ellipk_agm(1.0) == pytest.approx(np.pi / 2, abs=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.0, max_value=0.999))
     def test_matches_scipy(self, k):
         # scipy's ellipk takes the parameter m = k^2
-        assert ellipk_agm(k) == pytest.approx(scipy.special.ellipk(k * k),
-                                              rel=1e-10)
+        assert ellipk_agm(np.sqrt((1 - k) * (1 + k))) == pytest.approx(
+            scipy.special.ellipk(k * k), rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            ellipk_agm(1.0)
+            ellipk_agm(0.0)
         with pytest.raises(ValueError):
             ellipk_agm(-0.1)
 
@@ -72,6 +74,16 @@ class TestDerive:
         # the zero-thickness conformal-mapping model sits slightly below
         # the 50-ohm design value of the full multilayer treatment
         assert d.z0 == pytest.approx(48.7, abs=0.5)
+
+    @pytest.mark.parametrize("width, gap", [(20.0, 8.0), (1.0, 50.0), (1e-3, 8.0), (1e-7, 8.0)])
+    def test_impedance_matches_mpmath(self, width, gap):
+        # at 1e-7 / 8, sqrt(1 - k^2) rounds to 1, so K(k) must come from AGM(1, k') alone
+        with mpmath.workprec(300):
+            k = mpmath.mpf(width) / (mpmath.mpf(width) + 2 * mpmath.mpf(gap))
+            want = float(30 * mpmath.pi * mpmath.ellipk(1 - k**2)
+                         / (mpmath.sqrt((mpmath.mpf(9.8) + 1) / 2) * mpmath.ellipk(k**2)))
+        got = cpw_derive(CpwGeometry(center_width=width, gap_width=gap, eps_r=9.8)).z0
+        assert abs(got - want) <= 1e-12 * want
 
     def test_wider_gap_raises_impedance(self):
         z = [cpw_derive(CpwGeometry(center_width=20.0, gap_width=g, eps_r=9.8)).z0

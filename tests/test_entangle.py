@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wgqed.entangle
-from wgqed.dynamics import Trajectory, XState, evolve_xstate, xstate_basis
+from wgqed.dynamics import Trajectory, evolve_xstate, x_matrix, xstate_basis
 from wgqed.entangle import (
     DEAD_EPS,
     DEATH_HOLD,
@@ -24,8 +24,8 @@ from wgqed.entangle import (
     trajectory_concurrences,
 )
 from wgqed.model import WaveguideParams, derive_rates, mhz
-from wgqed.states import FAMILIES, pw_xstate, werner_xstate
-from xstate_oracles import dies_by_repropagation, random_xstate
+from wgqed.states import FAMILIES, pw_vector, werner_vector
+from xstate_oracles import dies_by_repropagation, random_xstate, x_vector
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
 
@@ -36,34 +36,34 @@ WERNER_THRESHOLD_ANALYTIC = (np.sqrt(720.0) - 4.0) / 32.0
 
 class TestConcurrenceX:
     def test_maximally_entangled(self):
-        bell = XState(a=0.0, b=0.5, c=0.5, d=0.0, z=-0.5)
+        bell = x_vector(0.0, 0.5, 0.5, 0.0, z=-0.5)
         assert concurrence_x(bell) == pytest.approx(1.0)
 
     def test_separable_diagonal(self):
-        assert concurrence_x(XState(a=0.25, b=0.25, c=0.25, d=0.25)) == 0.0
+        assert concurrence_x(x_vector(0.25, 0.25, 0.25, 0.25)) == 0.0
 
     def test_werner_closed_form(self):
         # singlet mixture: concurrence max(0, 2f - 1)
         for f in np.linspace(0.25, 1.0, 16):
             expected = max(0.0, 2 * f - 1)
-            assert concurrence_x(werner_xstate(f)) == pytest.approx(expected, abs=1e-12)
+            assert concurrence_x(werner_vector(f)) == pytest.approx(expected, abs=1e-12)
 
     def test_branches_and_margin(self):
         # F = |z| - sqrt(ad) = 0.25 - sqrt(0.03) beats G = |w| - sqrt(bc) = -0.3
-        x = XState(a=0.1, b=0.3, c=0.3, d=0.3, z=0.25j)
-        assert margins(x.to_vector()) == pytest.approx(2 * (0.25 - np.sqrt(0.03)))
+        x = x_vector(0.1, 0.3, 0.3, 0.3, z=0.25j)
+        assert margins(x) == pytest.approx(2 * (0.25 - np.sqrt(0.03)))
         # the mirror state swaps the branches: G = 0.25 - sqrt(0.03) beats F = -0.3
-        x = XState(a=0.3, b=0.1, c=0.3, d=0.3, w=0.25j)
-        assert margins(x.to_vector()) == pytest.approx(2 * (0.25 - np.sqrt(0.03)))
+        x = x_vector(0.3, 0.1, 0.3, 0.3, w=0.25j)
+        assert margins(x) == pytest.approx(2 * (0.25 - np.sqrt(0.03)))
 
     def test_margin_unclamped_for_separable(self):
-        x = XState(a=0.25, b=0.25, c=0.25, d=0.25)
-        assert margins(x.to_vector()) < 0
+        x = x_vector(0.25, 0.25, 0.25, 0.25)
+        assert margins(x) < 0
         assert concurrence_x(x) == 0.0
 
     def test_validates_input(self):
         with pytest.raises(ValueError):
-            concurrence_x(XState(a=0.5, b=0.5, c=0.5, d=0.5))
+            concurrence_x(x_vector(0.5, 0.5, 0.5, 0.5))
 
 
 class TestMargins:
@@ -77,7 +77,7 @@ class TestMargins:
     def test_matches_scalar_loop_exactly(self):
         rng = np.random.default_rng(11)
         xs = np.concatenate([rng.normal(size=(5000, 8)),
-                             np.array([random_xstate(rng).to_vector() for _ in range(5000)])])
+                             np.array([random_xstate(rng) for _ in range(5000)])])
         # Re or Im of z and w at +0.0 or -0.0, where hypot is skipped for |Re|
         signed = np.concatenate([xs[:800], xs[5000:5800]])
         for k, zero in enumerate((0.0, -0.0, 0.0, -0.0)):
@@ -94,7 +94,7 @@ class TestMargins:
         assert np.array_equal(margins(xs), margins(xs.reshape(12, 8)).reshape(3, 4))
 
     def test_one_state_gives_a_scalar(self):
-        x = random_xstate(np.random.default_rng(2)).to_vector()
+        x = random_xstate(np.random.default_rng(2))
         assert np.ndim(margins(x)) == 0 and margins(x) == self._margin_loop(x.tolist())
 
     def test_peak_memory_is_three_result_columns(self):
@@ -127,7 +127,7 @@ class TestConcurrenceWootters:
         rng = np.random.default_rng(99)
         for _ in range(200):
             x = random_xstate(rng)
-            assert concurrence_wootters(x.to_matrix()) == pytest.approx(
+            assert concurrence_wootters(x_matrix(x)) == pytest.approx(
                 concurrence_x(x), abs=1e-10)
 
     def test_rejects_wrong_dimension(self):
@@ -146,7 +146,7 @@ class TestPwClosedForm:
     def test_matches_state_construction(self):
         for f in np.linspace(0.0, 1.0, 33):
             assert pw_concurrence_closed(f) == pytest.approx(
-                concurrence_x(pw_xstate(f)), abs=1e-12)
+                concurrence_x(pw_vector(f)), abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestDetectEvents:
 
     def test_trajectory_concurrences_shape(self):
         times = np.linspace(0.0, 1.0, 11)
-        states = np.tile(werner_xstate(0.9).to_vector(), (11, 1))
+        states = np.tile(werner_vector(0.9), (11, 1))
         cs = trajectory_concurrences(Trajectory(times=times, states=states, rates=None))
         assert cs.shape == (11,)
         assert np.allclose(cs, 0.8)
@@ -357,8 +357,7 @@ class TestEsdThreshold:
         monkeypatch.setattr(wgqed.entangle, "evolve_xstate", counted)
         esd_threshold(1.3, PARAMS, "pw")
         assert len(calls) == 1
-        assert np.array_equal(calls[0], [pw_xstate(1.0 / 3.0).to_vector(),
-                                         pw_xstate(1.0).to_vector()])
+        assert np.array_equal(calls[0], [pw_vector(1.0 / 3.0), pw_vector(1.0)])
 
     @pytest.mark.parametrize("ratio", [1.9, 2.11])
     def test_non_monotone_flags_match_the_oracle(self, ratio):

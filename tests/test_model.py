@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wgqed.dynamics import off_x_leakage
+from wgqed.dynamics import off_x_leakage, x_matrix
 from wgqed.model import (
     SM_A,
     SM_B,
@@ -140,7 +140,7 @@ class TestGenerator:
         p = params(ratio)
         gen = build_generator(derive_rates(p), p)
         for _ in range(10):
-            rho = random_xstate(rng).to_matrix()
+            rho = x_matrix(random_xstate(rng))
             assert off_x_leakage(apply_generator(gen, rho)) < 1e-12
 
     def test_plain_damping_generator(self):

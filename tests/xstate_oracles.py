@@ -1,4 +1,5 @@
-"""Test oracles: random X states, the X-state check row by row, the action
+"""Test oracles: X vectors from named elements and read back from matrices by
+index, random X states, the X-state check row by row, the action
 of a generator on a density matrix and its restriction to the X manifold
 basis state by basis state,
 the X-state right-hand side, both from the full generator and as the
@@ -14,11 +15,25 @@ from dataclasses import replace
 
 import numpy as np
 
-from wgqed.dynamics import XState, evolve_xstate, propagate
+from wgqed.dynamics import evolve_xstate, propagate, x_matrix
 from wgqed.entangle import DEATH_RTOL
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
                          build_hamiltonian, derive_rates, lindblad_generator)
 from wgqed.states import FAMILIES, LOWERING_CBA
+
+
+def x_vector(a, b, c, d, z=0j, w=0j) -> np.ndarray:
+    """The X vector (a, b, c, d, Re z, Im z, Re w, Im w) of named elements."""
+    return np.array([a, b, c, d, z.real, z.imag, w.real, w.imag])
+
+
+def x_from_matrix(m: np.ndarray) -> np.ndarray:
+    """The X vectors of (..., 4, 4) matrices, read by index: the diagonal, z = m[1, 2] and
+    w = m[0, 3]; every other element is ignored."""
+    m = np.asarray(m)
+    z, w = m[..., 1, 2], m[..., 0, 3]
+    return np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 2, 2].real, m[..., 3, 3].real,
+                     z.real, z.imag, w.real, w.imag], axis=-1)
 
 
 def xstate_violation_by_rows(xs: np.ndarray, tol: float) -> tuple[int, str] | None:
@@ -35,9 +50,10 @@ def xstate_violation_by_rows(xs: np.ndarray, tol: float) -> tuple[int, str] | No
     if not len(rows):
         return None
     k = int(rows[0])
-    x = XState.from_vector(xs[k])
-    pops = (x.a, x.b, x.c, x.d)
-    reasons = [f"element {n}={getattr(x, n)} is not finite" for n in "abcdzw"]
+    row = [float(e) for e in xs[k]]
+    pops = row[:4]
+    named = dict(zip("abcd", pops), z=complex(row[4], row[5]), w=complex(row[6], row[7]))
+    reasons = [f"element {n}={named[n]} is not finite" for n in "abcdzw"]
     reasons.append(f"populations sum to {sum(pops)}, not 1")
     reasons += [f"population {n}={v} outside [0, 1]" for n, v in zip("abcd", pops)]
     reasons += ["|z|^2 exceeds b*c: inner block not PSD",
@@ -57,9 +73,7 @@ def xstate_generator_by_basis(gen: np.ndarray) -> np.ndarray:
     for k in range(8):
         e = np.zeros(8)
         e[k] = 1.0
-        rho = XState.from_vector(e).to_matrix()
-        out = apply_generator(gen, rho)
-        m[:, k] = XState.from_matrix(out).to_vector()
+        m[:, k] = x_from_matrix(apply_generator(gen, x_matrix(e)))
     return m
 
 
@@ -102,14 +116,13 @@ def hand_expanded_generator(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     return gen
 
 
-def xstate_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
-    """Time derivative of an X state (returned as an XState-shaped bundle)."""
+def xstate_rhs(x: np.ndarray, r: DerivedRates, p: WaveguideParams) -> np.ndarray:
+    """Time derivative of an X vector, read from the full generator's action on its matrix."""
     gen = build_generator(r, p)
-    d = apply_generator(gen, x.to_matrix())
-    return XState.from_matrix(d)
+    return x_from_matrix(apply_generator(gen, x_matrix(x)))
 
 
-def kinetics_reference_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XState:
+def kinetics_reference_rhs(x: np.ndarray, r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     """Closed-form kinetic equations for the X manifold, as the source text states them.
 
     The source text uses the opposite qubit ordering (qubit a slow), so
@@ -120,8 +133,8 @@ def kinetics_reference_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XS
     c1, c2, c3 = np.cos(phi), np.cos(2 * phi), np.cos(3 * phi)
     s1, s2, s3 = np.sin(phi), np.sin(2 * phi), np.sin(3 * phi)
     # their labels: b is the b-excited population, z = conj(ours)
-    a, b, c, d = x.a, x.c, x.b, x.d
-    z, w = np.conj(x.z), x.w
+    a, b, c, d = x[0], x[2], x[1], x[3]
+    z, w = np.conj(complex(x[4], x[5])), complex(x[6], x[7])
     zr = z + np.conj(z)
     omega_a, omega_b = p.delta_bare / 2, -p.delta_bare / 2
 
@@ -144,9 +157,8 @@ def kinetics_reference_rhs(x: XState, r: DerivedRates, p: WaveguideParams) -> XS
              - 0.5j * gamma * (z - np.conj(z)) * (s1 + s2))
     d_dot = -d * (2 * (gamma + gnr) + gamma * (c1 + c3))
     # map back to our ordering
-    return XState(a=float(np.real(a_dot)), b=float(np.real(c_dot)),
-                  c=float(np.real(b_dot)), d=float(np.real(d_dot)),
-                  z=complex(np.conj(z_dot)), w=complex(w_dot))
+    return x_vector(float(np.real(a_dot)), float(np.real(c_dot)), float(np.real(b_dot)),
+                    float(np.real(d_dot)), complex(np.conj(z_dot)), complex(w_dot))
 
 
 def kinetics_discrepancy(r: DerivedRates, p: WaveguideParams, n: int = 50,
@@ -158,19 +170,20 @@ def kinetics_discrepancy(r: DerivedRates, p: WaveguideParams, n: int = 50,
         x = random_xstate(rng)
         got = xstate_rhs(x, r, p)
         ref = kinetics_reference_rhs(x, r, p)
-        for name in ("a", "b", "c", "d", "z", "w"):
-            gap = abs(getattr(got, name) - getattr(ref, name))
+        gaps = np.abs(got - ref)
+        gaps = [*gaps[:4], np.hypot(*gaps[4:6]), np.hypot(*gaps[6:])]
+        for name, gap in zip(worst, gaps):
             worst[name] = max(worst[name], float(gap))
     return worst
 
 
-def random_xstate(rng: np.random.Generator) -> XState:
-    """Random valid X-shape state (PSD blocks, unit trace)."""
+def random_xstate(rng: np.random.Generator) -> np.ndarray:
+    """X vector of a random valid X-shape state (PSD blocks, unit trace)."""
     pops = rng.dirichlet(np.ones(4))
     a, b, c, d = pops
     z = rng.uniform(0, 1) * np.sqrt(b * c) * np.exp(2j * np.pi * rng.uniform())
     w = rng.uniform(0, 1) * np.sqrt(a * d) * np.exp(2j * np.pi * rng.uniform())
-    return XState(a=a, b=b, c=c, d=d, z=z, w=w)
+    return x_vector(a, b, c, d, z, w)
 
 
 def dies_by_repropagation(lambda_ratio: float, p: WaveguideParams, family: str,
@@ -195,7 +208,7 @@ def dies_by_repropagation(lambda_ratio: float, p: WaveguideParams, family: str,
 
 def hand_x_maps() -> tuple[np.ndarray, np.ndarray]:
     """(X_IN, X_OUT) from the unit X states and a hand-written vec(rho) index per coordinate."""
-    x_in = np.stack([XState.from_vector(e).to_matrix().reshape(-1) for e in np.eye(8)], axis=1)
+    x_in = x_matrix(np.eye(8)).reshape(8, 16).T
     x_out = np.zeros((8, 16), dtype=complex)
     x_out[range(8), [0, 5, 10, 15, 6, 6, 3, 3]] = [1, 1, 1, 1, 1, -1j, 1, -1j]
     return x_in, x_out
