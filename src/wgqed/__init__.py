@@ -15,7 +15,6 @@ from .model import (
 )
 from .dynamics import (
     IntegrationError,
-    Trajectory,
     evolve_full,
     evolve_xstate,
     off_x_leakage,

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from .dynamics import (MAX_SAMPLES, SAMPLE_TOL, IntegrationError, Trajectory, evolve_xstate,
-                       sample_times, xstate_violation)
+from .dynamics import (MAX_SAMPLES, SAMPLE_TOL, IntegrationError, evolve_xstate, sample_times,
+                       xstate_violation)
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
@@ -106,7 +106,7 @@ def json_blocks(payload: dict):
 
 
 def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
-    """Write a result to --out, or stdout.
+    """Write a result to --out, or stdout; an --out that cannot be opened is a ValueError.
 
     JSON, for --format json or a result with no table, is {"generated_by", "config",
     **fields}, config holding every setting but --out and --format.  CSV is the columns,
@@ -121,9 +121,13 @@ def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
         blocks = csv_blocks(columns, rows)
     if args.out is None:
         sys.stdout.writelines(blocks)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.writelines(blocks)
+        return
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+    with fh:
+        fh.writelines(blocks)
 
 
 # --- configuration files -------------------------------------------------
@@ -213,15 +217,15 @@ def cell_inputs(args, lambda_ratio: float) -> tuple:
     return derive_rates(p), p, t_max, sample_dt
 
 
-def checked_events(traj: Trajectory):
+def checked_events(times: np.ndarray, states: np.ndarray):
     """(concurrence, events per state) of a trajectory, every sample checked.
 
     One state, (n_t, 8), gives (n_t,) concurrences and one report; a stack,
     (n_t, m, 8), gives (n_t, m) and m reports.
     """
-    check_trajectory_invariants(traj)
-    c = trajectory_concurrences(traj)
-    return c, detect_events(traj.times, c.reshape(len(c), -1))
+    check_trajectory_invariants(times, states)
+    c = trajectory_concurrences(states)
+    return c, detect_events(times, c.reshape(len(c), -1))
 
 
 def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
@@ -237,28 +241,29 @@ def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
     for k in range(0, len(x0s), batch):
         cells = x0s[k:k + batch]
         try:
-            out += checked_events(evolve_xstate(cells, *inputs))[1]
+            out += checked_events(*evolve_xstate(cells, *inputs))[1]
         except (IntegrationError, InvariantViolation) as exc:
             out += [exc] if len(cells) == 1 else [
                 rep for x0 in cells for rep in scan_column(args, x0[None], lambda_ratio)]
     return out
 
 
-def check_trajectory_invariants(traj: Trajectory):
-    bad = xstate_violation(traj.states, SAMPLE_TOL)
+def check_trajectory_invariants(times: np.ndarray, states: np.ndarray):
+    bad = xstate_violation(states, SAMPLE_TOL)
     if bad is not None:
         k, reason = bad
-        sample = np.unravel_index(k, traj.states.shape[:-1])[0]
-        raise InvariantViolation(f"sample at t = {traj.times[sample]:.6g} us: {reason}")
+        sample = np.unravel_index(k, states.shape[:-1])[0]
+        raise InvariantViolation(f"sample at t = {times[sample]:.6g} us: {reason}")
 
 
 def cmd_evolve(args) -> int:
-    traj = evolve_xstate(FAMILIES[args.state](args.f), *cell_inputs(args, args.lambda_ratio))
-    c, (report,) = checked_events(traj)
-    table = (traj.times, c, *traj.states.T)
+    r, p, t_max, sample_dt = cell_inputs(args, args.lambda_ratio)
+    times, states = evolve_xstate(FAMILIES[args.state](args.f), r, p, t_max, sample_dt)
+    c, (report,) = checked_events(times, states)
+    table = (times, c, *states.T)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
-        "rates": rates_dict(traj.rates),
+        "rates": rates_dict(r),
         "esd": {"death_times_us": report.death_times, "revival_times_us": report.revival_times,
                 "final_concurrence": report.final_concurrence},
         "columns": columns,

@@ -57,10 +57,12 @@ class CpwDerived:
 
 def cpw_derive(g: CpwGeometry) -> CpwDerived:
     """Characteristic impedance and phase velocity of the CPW geometry."""
-    k = g.center_width / (g.center_width + 2.0 * g.gap_width)
+    # k = 1 / (1 + q) and 1 - k = q / (1 + q): neither w + 2s nor a rounded 1 - k is formed
+    q = 2.0 * (g.gap_width / g.center_width)
+    k = 1.0 / (1.0 + q)
     if k <= 0.0 or k >= 1.0:
         raise ValueError(f"degenerate geometry modulus k = {k}")
-    kp = float(np.sqrt((1.0 - k) * (1.0 + k)))
+    kp = float(np.sqrt(q / (1.0 + q)) * np.sqrt((2.0 + q) / (1.0 + q)))
     eps_eff = (g.eps_r + 1.0) / 2.0
     # K(kp) / K(k): each modulus is the other's complement
     z0 = 30.0 * np.pi * ellipk_agm(k) / (np.sqrt(eps_eff) * ellipk_agm(kp))

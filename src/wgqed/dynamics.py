@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,25 +96,6 @@ def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str]
     return k, reasons[int(np.argmax(bad[k]))]
 
 
-@dataclass
-class Trajectory:
-    """Time-ordered samples of a master-equation propagation run.
-
-    ``states``: (n_t, 8) real X vectors (a, b, c, d, Re z, Im z, Re w, Im w; :func:`x_matrix`)
-    from :func:`evolve_xstate`, or (n_t, 4, 4) complex matrices from :func:`evolve_full`.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    rates: DerivedRates
-
-    def __post_init__(self):
-        if len(self.states) != len(self.times):
-            raise ValueError("states and times lengths differ")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly ascending")
-
-
 #: X coordinates to vec(rho) (16x8), and vec(rho) to X coordinates as the real part (8x16,
 #: Im x = Re(-1j x)): a, b, c, d on the diagonal of the q = 0 sector (linalg.sector), z above
 #: it, w in q = -2; X_IN also holds each coherence's conjugate at the transposed index
@@ -156,12 +136,20 @@ def grid_steps(duration: float, dt: float) -> int:
 
 
 def sample_times(t_max: float, sample_dt: float) -> np.ndarray:
-    """The checked time grid 0, sample_dt, ... up to t_max."""
+    """The checked time grid 0, sample_dt, ... up to t_max, with no sample past it.
+
+    Whole steps only; one short by under 1e-9 of a step (round-off) counts, as in cli.parse_range.
+    Raises ValueError, before anything is allocated, for more than MAX_SAMPLES samples.
+    """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if not (math.isfinite(sample_dt) and 0 < sample_dt <= t_max):
         raise ValueError(f"sample_dt must be finite and in (0, t_max], got {sample_dt}")
-    n = grid_steps(t_max, sample_dt)
+    steps = t_max / sample_dt + 1e-9
+    if not steps < MAX_SAMPLES:
+        raise ValueError(f"{t_max:.6g} us at sample_dt = {sample_dt:.6g} us needs "
+                         f"{steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
+    n = int(steps)
     return np.linspace(0.0, n * sample_dt, n + 1)
 
 
@@ -197,17 +185,17 @@ def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:
     return np.moveaxis(cols.reshape(d, n + 1, *y0.shape[:-1]), 0, -1)
 
 
-def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float, sample_dt: float,
-                rates: DerivedRates | None = None) -> Trajectory:
-    """Propagate the vectorized density matrix under the full generator."""
+def evolve_full(rho0: np.ndarray, gen: np.ndarray, t_max: float,
+                sample_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, states): the density matrix propagated under the full generator, (n_t, 4, 4)."""
     times = sample_times(t_max, sample_dt)
     ys = propagate(gen, np.asarray(rho0, dtype=complex).reshape(-1), sample_dt, len(times) - 1)
-    return Trajectory(times=times, states=ys.reshape(-1, 4, 4), rates=rates)
+    return times, ys.reshape(-1, 4, 4)
 
 
 def evolve_xstate(x0: np.ndarray, r: DerivedRates, p: WaveguideParams, t_max: float,
-                  sample_dt: float) -> Trajectory:
-    """Propagate the eight real X-manifold coordinates (fast path).
+                  sample_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, states) of the eight real X-manifold coordinates propagated (fast path).
 
     An X vector gives (n_t, 8) states; an (m, 8) stack is propagated as one and gives
     (n_t, m, 8).  The 8x8 generator is :func:`xstate_basis`'s: no 16x16 build.
@@ -218,5 +206,4 @@ def evolve_xstate(x0: np.ndarray, r: DerivedRates, p: WaveguideParams, t_max: fl
         raise ValueError(bad[1])
     m = (generator_coefficients(r, p) @ xstate_basis()).reshape(8, 8)
     times = sample_times(t_max, sample_dt)
-    ys = propagate(m, y0, sample_dt, len(times) - 1)
-    return Trajectory(times=times, states=ys, rates=r)
+    return times, propagate(m, y0, sample_dt, len(times) - 1)

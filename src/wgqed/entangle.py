@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import SIGMA_Y, check_density_matrix, tensor
-from .dynamics import SAMPLE_TOL, Trajectory, evolve_xstate, xstate_violation
+from .dynamics import SAMPLE_TOL, evolve_xstate, xstate_violation
 from .model import WaveguideParams, derive_rates
 from .states import FAMILIES
 
@@ -88,9 +88,9 @@ def pw_concurrence_closed(f: float) -> float:
     return float(2.0 * max(0.0, big_f, big_g))
 
 
-def trajectory_concurrences(traj: Trajectory) -> np.ndarray:
-    """Concurrence at every sample of an X-manifold trajectory (not validated)."""
-    c = margins(traj.states)
+def trajectory_concurrences(states: np.ndarray) -> np.ndarray:
+    """Concurrence at every sample of an (..., 8) array of X states (not validated)."""
+    c = margins(states)
     return np.clip(c, 0.0, 1.0, out=c)
 
 
@@ -147,7 +147,7 @@ def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tupl
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
-    ends = evolve_xstate(make(np.array([lo, hi])), r, pr, t_max, t_max / 1500).states
+    _, ends = evolve_xstate(make(np.array([lo, hi])), r, pr, t_max, t_max / 1500)
     # a, d, Re z, Im z (FG_PAIRING[0]) per sample, at lo and hi; x = u + (f - lo) v
     x = np.moveaxis(ends, -1, 0)[list(FG_PAIRING[0])]
     (up, uq, ur, ui), (vp, vq, vr, vi) = x[..., 0], (x[..., 1] - x[..., 0]) / (hi - lo)

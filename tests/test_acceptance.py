@@ -143,12 +143,11 @@ def test_criterion_05_fast_path_equivalence(criterion_log):
         gen = build_generator(r, p)
         for _ in range(20):
             x0 = random_xstate(rng)
-            fast = evolve_xstate(x0, r, p, 0.5, 0.005)
-            full = evolve_full(x_matrix(x0), gen, 0.5, 0.005, rates=r)
+            _, fast = evolve_xstate(x0, r, p, 0.5, 0.005)
+            _, full = evolve_full(x_matrix(x0), gen, 0.5, 0.005)
             X_TRAJS.append(fast)
             FULL_TRAJS.append(full)
-            gap = max(np.max(np.abs(m - x_matrix(x)))
-                      for m, x in zip(full.states, fast.states))
+            gap = max(np.max(np.abs(m - x_matrix(x))) for m, x in zip(full, fast))
             worst = max(worst, float(gap))
     _verdict(criterion_log, 5,
              "reduced X-manifold integration matches the full master "
@@ -156,8 +155,8 @@ def test_criterion_05_fast_path_equivalence(criterion_log):
              worst <= 1e-8, f"worst max-norm gap {worst:.3g}")
 
 
-def _events(traj):
-    return detect_events(traj.times, trajectory_concurrences(traj))
+def _events(times, states):
+    return detect_events(times, trajectory_concurrences(states))
 
 
 def test_criterion_06_esd_revival_pattern(criterion_log):
@@ -168,18 +167,18 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     r2 = derive_rates(p2)
     t_max = 6.0 / min(r2.gamma_a, r2.gamma_b)
     for f in np.arange(0.3, 1.001, 0.1):
-        traj = evolve_xstate(werner_vector(float(f)), r2, p2, t_max, t_max / 1500)
-        X_TRAJS.append(traj)
-        if _events(traj).revival_times:
+        times, states = evolve_xstate(werner_vector(float(f)), r2, p2, t_max, t_max / 1500)
+        X_TRAJS.append(states)
+        if _events(times, states).revival_times:
             failures.append(f"revival at ratio 2, f={f:.1f}")
 
     # ratios 1.5 and 1.3: Werner f = 0.9 dies and then revives
     for ratio in (1.5, 1.3):
         p = _with_ratio(ratio)
         r = derive_rates(p)
-        traj = evolve_xstate(werner_vector(0.9), r, p, 2.0, 2.0 / 2000)
-        X_TRAJS.append(traj)
-        rep = _events(traj)
+        times, states = evolve_xstate(werner_vector(0.9), r, p, 2.0, 2.0 / 2000)
+        X_TRAJS.append(states)
+        rep = _events(times, states)
         if not (rep.death_times and rep.revival_times
                 and rep.revival_times[0] > rep.death_times[0]):
             failures.append(f"no death-then-revival at ratio {ratio}: {rep}")
@@ -188,9 +187,9 @@ def test_criterion_06_esd_revival_pattern(criterion_log):
     # concurrence (pseudo-Werner initial state)
     p = _with_ratio(1.2)
     r = derive_rates(p)
-    traj = evolve_xstate(pw_vector(0.9), r, p, 2.0, 2.0 / 2000)
-    X_TRAJS.append(traj)
-    rep = _events(traj)
+    times, states = evolve_xstate(pw_vector(0.9), r, p, 2.0, 2.0 / 2000)
+    X_TRAJS.append(states)
+    rep = _events(times, states)
     if not (rep.death_times and rep.revival_times
             and rep.revival_times[0] > rep.death_times[0]
             and len(rep.death_times) >= 2
@@ -271,13 +270,13 @@ def test_criterion_09_cpw_numbers(criterion_log):
 def test_criterion_10_structural_invariants(criterion_log):
     assert X_TRAJS and FULL_TRAJS, "earlier criteria must register trajectories"
     worst_trace, worst_eig, worst_leak = 0.0, 0.0, 0.0
-    for traj in X_TRAJS:
-        for x in traj.states:
+    for states in X_TRAJS:
+        for x in states:
             m = x_matrix(x)
             worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(m).min()))
-    for traj in FULL_TRAJS:
-        for m in traj.states:
+    for states in FULL_TRAJS:
+        for m in states:
             worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(m).min()))
             worst_leak = max(worst_leak, off_x_leakage(m))

@@ -30,7 +30,7 @@ from wgqed.cli import (
     main,
     parse_range,
 )
-from wgqed.dynamics import MAX_SAMPLES, Trajectory, evolve_xstate
+from wgqed.dynamics import MAX_SAMPLES, evolve_xstate
 from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
 from wgqed.states import werner_vector
@@ -220,9 +220,9 @@ class TestScan:
         spoiled = werner_vector(parse_range("0.7:0.9:0.1")[1])
 
         def faulty_evolve(x0s, *args):
-            traj = evolve_xstate(x0s, *args)
-            traj.states[7, [np.array_equal(x, spoiled) for x in x0s], 1] = 1.5
-            return traj
+            times, states = evolve_xstate(x0s, *args)
+            states[7, [np.array_equal(x, spoiled) for x in x0s], 1] = 1.5
+            return times, states
 
         good = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3")
         monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
@@ -316,6 +316,13 @@ class TestCpw:
         payload = json.loads(out.read_text())
         assert payload["Z0_ohm"] == pytest.approx(48.7, abs=0.5)
         assert payload["lambda_ratio"] == pytest.approx(1.0, abs=0.01)
+
+    def test_overflowing_geometry_sum_is_the_unit_geometry(self, capsys):
+        # width + 2 gap overflows; the report depends on gap / width alone
+        assert main(["cpw", "--width", "1e308", "--gap", "1e308"]) == EXIT_OK
+        huge = capsys.readouterr()
+        assert main(["cpw", "--width", "1", "--gap", "1"]) == EXIT_OK
+        assert huge == capsys.readouterr()
 
     def test_csv_report_is_a_one_row_table(self, tmp_path):
         out = tmp_path / "cpw.csv"
@@ -668,6 +675,17 @@ class TestExitCodes:
         assert "--pulse + --wait must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, reason", [
+        (".", "Is a directory"),
+        ("missing/x.csv", "No such file or directory"),
+    ])
+    def test_unwritable_out_is_usage_error(self, name, reason, tmp_path, capsys):
+        path = tmp_path / name
+        assert main(self.EVOLVE + ["--out", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write --out {path}: {reason}\n"
+
     @pytest.mark.parametrize("argv", [
         ["prepare", "--f", "0.8", "--gamma", "5"],
         ["mix", "--gamma", "5"],
@@ -716,9 +734,9 @@ class TestExitCodes:
     def test_bad_sample_is_invariant_violation(self, monkeypatch, tmp_path, capsys):
         # a propagator fault that leaves one sample outside the state space
         def faulty_evolve(*args):
-            traj = evolve_xstate(*args)
-            traj.states[7, 1] = 1.5
-            return traj
+            times, states = evolve_xstate(*args)
+            states[7, 1] = 1.5
+            return times, states
 
         monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
         out = tmp_path / "t.csv"
@@ -734,18 +752,18 @@ class TestCheckTrajectoryInvariants:
     def test_names_the_time_of_the_bad_row(self):
         times = np.linspace(0.0, 0.9, 10)
         states = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (10, 1))
-        check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
+        check_trajectory_invariants(times, states)
         states[6, :4] = [0.3, 1.2, -0.5, 0.0]  # unit trace, b and c out of range
         with pytest.raises(InvariantViolation,
                            match=r"^sample at t = 0\.6 us: population b=1\.2 outside \[0, 1\]$"):
-            check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
+            check_trajectory_invariants(times, states)
 
     def test_names_the_time_of_the_bad_row_of_a_stack(self):
         times = np.linspace(0.0, 0.9, 10)
         states = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (10, 3, 1))
         states[6, 2, :4] = [0.3, 1.2, -0.5, 0.0]  # flat row 20, past the last sample
         with pytest.raises(InvariantViolation, match=r"^sample at t = 0\.6 us: population b"):
-            check_trajectory_invariants(Trajectory(times=times, states=states, rates=None))
+            check_trajectory_invariants(times, states)
 
 
 def test_evolve_samples_follow_the_header(tmp_path):
@@ -754,8 +772,8 @@ def test_evolve_samples_follow_the_header(tmp_path):
     argv = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "0.1",
             "--sample-dt", "0.01"]
     p = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=1.5)
-    traj = evolve_xstate(werner_vector(0.9), derive_rates(p), p, 0.1, 0.01)
-    rows = np.column_stack([traj.times, trajectory_concurrences(traj), traj.states]).tolist()
+    times, states = evolve_xstate(werner_vector(0.9), derive_rates(p), p, 0.1, 0.01)
+    rows = np.column_stack([times, trajectory_concurrences(states), states]).tolist()
     csv_out, json_out = tmp_path / "traj.csv", tmp_path / "traj.json"
     assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
     assert main(argv + ["--format", "json", "--out", str(json_out)]) == EXIT_OK

@@ -85,6 +85,16 @@ class TestDerive:
         got = cpw_derive(CpwGeometry(center_width=width, gap_width=gap, eps_r=9.8)).z0
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("width, gap", [(1e6, 1e-6), (1e4, 1e-4), (100.0, 1e-3)])
+    def test_wide_centre_conductor_matches_mpmath(self, width, gap):
+        # k near 1: 1 - k formed from a rounded k kept k's absolute rounding (1.2e-6 at 1e6)
+        with mpmath.workprec(300):
+            k = mpmath.mpf(width) / (mpmath.mpf(width) + 2 * mpmath.mpf(gap))
+            want = float(30 * mpmath.pi * mpmath.ellipk(1 - k**2)
+                         / (mpmath.sqrt((mpmath.mpf(9.8) + 1) / 2) * mpmath.ellipk(k**2)))
+        got = cpw_derive(CpwGeometry(center_width=width, gap_width=gap, eps_r=9.8)).z0
+        assert abs(got - want) <= 1e-14 * want
+
     def test_wider_gap_raises_impedance(self):
         z = [cpw_derive(CpwGeometry(center_width=20.0, gap_width=g, eps_r=9.8)).z0
              for g in (4.0, 8.0, 16.0)]

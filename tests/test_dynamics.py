@@ -18,11 +18,11 @@ import wgqed
 from wgqed.dynamics import (
     SAMPLE_TOL,
     IntegrationError,
-    Trajectory,
     evolve_full,
     evolve_xstate,
     off_x_leakage,
     propagate,
+    sample_times,
     x_matrix,
     xstate_basis,
     xstate_generator_matrix,
@@ -177,17 +177,6 @@ class TestXState:
         assert off_x_leakage(m) == 2e-3
 
 
-class TestTrajectory:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((0, 8)), rates=None)
-
-    def test_non_monotone_times(self):
-        x = x_vector(1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="ascending"):
-            Trajectory(times=np.array([0.0, 0.0]), states=np.array([x, x]), rates=None)
-
-
 class TestReducedGenerator:
     @pytest.mark.parametrize("ratio", [2.0, 1.5, 1.3, 1.2])
     def test_matches_full_generator_action(self, ratio):
@@ -254,10 +243,10 @@ class TestEvolution:
         p = params(2.0)
         r = derive_rates(p)
         a0, b0, c0, d0, z0, w0 = 0.1, 0.3, 0.2, 0.4, 0.1 - 0.05j, 0.08j
-        traj = evolve_xstate(x_vector(a0, b0, c0, d0, z0, w0), r, p, 5.0, 0.05)
-        assert traj.states.shape == (101, 8)
+        times, states = evolve_xstate(x_vector(a0, b0, c0, d0, z0, w0), r, p, 5.0, 0.05)
+        assert states.shape == (101, 8)
         ga, gb = r.gamma_a, r.gamma_b
-        for t, got in zip(traj.times, traj.states):
+        for t, got in zip(times, states):
             ea, eb = np.exp(-ga * t), np.exp(-gb * t)
             d = d0 * ea * eb
             b = b0 * ea + d0 * ea * (1 - eb)
@@ -275,8 +264,8 @@ class TestEvolution:
         p = WaveguideParams(gamma=0.0, gamma_nr=0.0, lambda_ratio=2.0, g=g0)
         r = derive_rates(p)
         x0 = x_vector(0.0, 1.0, 0.0, 0.0)
-        traj = evolve_xstate(x0, r, p, 1.0, 0.01)
-        for t, (b, c) in zip(traj.times, traj.states[:, 1:3]):
+        times, states = evolve_xstate(x0, r, p, 1.0, 0.01)
+        for t, (b, c) in zip(times, states[:, 1:3]):
             assert b == pytest.approx(np.cos(g0 * t) ** 2, abs=1e-8)
             assert c == pytest.approx(np.sin(g0 * t) ** 2, abs=1e-8)
 
@@ -285,21 +274,23 @@ class TestEvolution:
         r = derive_rates(p)
         gen = build_generator(r, p)
         x0 = random_xstate(np.random.default_rng(42))
-        fast = evolve_xstate(x0, r, p, 0.4, 0.004)
-        full = evolve_full(x_matrix(x0), gen, 0.4, 0.004, rates=r)
-        assert full.states.shape == (101, 4, 4)
-        assert np.max(np.abs(full.states - x_matrix(fast.states))) < 1e-9
+        times, fast = evolve_xstate(x0, r, p, 0.4, 0.004)
+        full_times, full = evolve_full(x_matrix(x0), gen, 0.4, 0.004)
+        assert np.array_equal(full_times, times)
+        assert np.array_equal(times, sample_times(0.4, 0.004))
+        assert full.shape == (101, 4, 4)
+        assert np.max(np.abs(full - x_matrix(fast))) < 1e-9
 
     def test_sequence_gives_a_stack(self):
         p = params(1.5)
         r = derive_rates(p)
         x0s = [random_xstate(np.random.default_rng(k)) for k in range(3)]
-        stack = evolve_xstate(x0s, r, p, 0.5, 0.01)
-        assert stack.states.shape == (51, 3, 8)
+        _, stack = evolve_xstate(x0s, r, p, 0.5, 0.01)
+        assert stack.shape == (51, 3, 8)
         for i, x0 in enumerate(x0s):
-            alone = evolve_xstate(x0, r, p, 0.5, 0.01)
-            assert alone.states.shape == (51, 8)
-            assert np.max(np.abs(stack.states[:, i] - alone.states)) < 1e-14
+            _, alone = evolve_xstate(x0, r, p, 0.5, 0.01)
+            assert alone.shape == (51, 8)
+            assert np.max(np.abs(stack[:, i] - alone)) < 1e-14
         with pytest.raises(ValueError, match="inner block"):
             evolve_xstate(x0s + [x_vector(0.25, 0.25, 0.25, 0.25, z=0.5)], r, p, 0.5, 0.01)
 
@@ -314,6 +305,32 @@ class TestEvolution:
         for t_max, dt in ((float("inf"), 0.1), (float("nan"), 0.1), (1.0, float("nan"))):
             with pytest.raises(ValueError, match="must be finite"):
                 evolve_xstate(x0, r, p, t_max, dt)
+
+
+class TestSampleTimes:
+    def test_no_sample_past_t_max(self):
+        # 1 / 0.6 rounds to 2 steps; whole steps stop at 0.6
+        assert sample_times(1.0, 0.6).tolist() == [0.0, 0.6]
+        assert sample_times(1.0, 0.3).tolist()[-1] == pytest.approx(0.9)
+
+    def test_round_off_short_of_a_step_is_a_step(self):
+        # 0.7 / 0.05 = 13.999999999999998: fourteen steps, as in cli.parse_range
+        assert len(sample_times(0.7, 0.05)) == 15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.sampled_from([1000, 1500]))
+    def test_windows_divided_into_n_keep_n_steps(self, t_max, n):
+        # the default grid (8/gamma)/1000 and death_set's (6/min Gamma)/1500
+        assert len(sample_times(t_max, t_max / n)) == n + 1
+
+    def test_benchmark_grids_keep_their_counts(self):
+        assert len(sample_times(2.0, 0.001)) == 2001
+        t_max = 8.0 / mhz(5.0)
+        assert len(sample_times(t_max, t_max / 1000.0)) == 1001
+        for ratio in (1.2, 1.3, 1.5, 2.0):
+            r = derive_rates(params(ratio))
+            t_max = 6.0 / min(r.gamma_a, r.gamma_b)
+            assert len(sample_times(t_max, t_max / 1500)) == 1501
 
 
 class TestPropagate:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wgqed.entangle
-from wgqed.dynamics import Trajectory, evolve_xstate, x_matrix, xstate_basis
+from wgqed.dynamics import evolve_xstate, x_matrix, xstate_basis
 from wgqed.entangle import (
     DEAD_EPS,
     DEATH_HOLD,
@@ -107,10 +107,9 @@ class TestMargins:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * got.nbytes
-        traj = Trajectory(times=np.arange(len(xs), dtype=float), states=xs, rates=None)
         tracemalloc.start()
         try:
-            c = trajectory_concurrences(traj)
+            c = trajectory_concurrences(xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -162,8 +161,7 @@ class TestDetectEvents:
         zero = np.zeros_like(f)
         states = np.column_stack([pop_a, pop_b, pop_b, pop_a, (1 - 4 * f) / 6,
                                   zero, zero, zero])
-        traj = Trajectory(times=times, states=states, rates=None)
-        return detect_events(times, trajectory_concurrences(traj))
+        return detect_events(times, trajectory_concurrences(states))
 
     def test_death_and_revival_times(self):
         # concurrence max(0, 0.6 cos(2 pi t)): dead on (0.25, 0.75)
@@ -189,9 +187,7 @@ class TestDetectEvents:
             detect_events(np.array([0.0]), np.array([0.8]))
 
     def test_trajectory_concurrences_shape(self):
-        times = np.linspace(0.0, 1.0, 11)
-        states = np.tile(werner_vector(0.9), (11, 1))
-        cs = trajectory_concurrences(Trajectory(times=times, states=states, rates=None))
+        cs = trajectory_concurrences(np.tile(werner_vector(0.9), (11, 1)))
         assert cs.shape == (11,)
         assert np.allclose(cs, 0.8)
 

@@ -1,7 +1,10 @@
-"""The README's library example runs against the package as it is."""
+"""The README's library example and CLI examples run against the package as it is."""
 
 import re
+import shlex
 from pathlib import Path
+
+from wgqed.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,4 +18,16 @@ def test_python_example_runs(capsys):
     report = names["report"]
     assert capsys.readouterr().out == f"{report.death_times} {report.revival_times}\n"
     assert report.death_times and report.revival_times
-    assert names["rho"].shape == (len(names["traj"].times), 4, 4)
+    assert names["rho"].shape == (len(names["times"]), 4, 4)
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()  # continuation lines joined
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("wgqed ")]
+    assert [argv[0] for argv in commands] == ["rates", "evolve", "scan", "prepare", "mix", "cpw"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv", "scan.csv", "traj.json"]
+    assert "f_achieved = " in capsys.readouterr().out

@@ -197,7 +197,7 @@ def dies_by_repropagation(lambda_ratio: float, p: WaveguideParams, family: str,
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
     t_max = 6.0 / min(r.gamma_a, r.gamma_b)
-    xs = evolve_xstate(FAMILIES[family](f), r, pr, t_max, t_max / 1500).states
+    _, xs = evolve_xstate(FAMILIES[family](f), r, pr, t_max, t_max / 1500)
     a, b, c, d = np.maximum(xs[:, :4], 0.0).T
     z, w = np.hypot(xs[:, 4], xs[:, 5]), np.hypot(xs[:, 6], xs[:, 7])
     root_ad, root_bc = np.sqrt(a * d), np.sqrt(b * c)
