@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
-from .dynamics import (MAX_SAMPLES, SAMPLE_TOL, IntegrationError, evolve_xstate, sample_times,
-                       xstate_violation)
+from .dynamics import (MAX_SAMPLES, IntegrationError, InvariantViolation, evolve_xstate,
+                       sample_times, xstate_violation)
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
@@ -38,10 +38,6 @@ GENERATED_BY = f"wgqed {__version__}"
 
 #: table rows per write, so no table is held as one string (4096 peaked 1 MB higher at 2001)
 CSV_BLOCK = 1024
-
-
-class InvariantViolation(RuntimeError):
-    pass
 
 
 def parse_range(spec: str) -> np.ndarray:
@@ -106,7 +102,7 @@ def json_blocks(payload: dict):
 
 
 def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
-    """Write a result to --out, or stdout; an --out that cannot be opened is a ValueError.
+    """Write a result to --out (checked by :func:`check_out`), or stdout.
 
     JSON, for --format json or a result with no table, is {"generated_by", "config",
     **fields}, config holding every setting but --out and --format.  CSV is the columns,
@@ -122,11 +118,7 @@ def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
     if args.out is None:
         sys.stdout.writelines(blocks)
         return
-    try:
-        fh = open(args.out, "w", newline="")
-    except OSError as exc:
-        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    with fh:
+    with open(args.out, "w", newline="") as fh:
         fh.writelines(blocks)
 
 
@@ -249,7 +241,7 @@ def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
 
 
 def check_trajectory_invariants(times: np.ndarray, states: np.ndarray):
-    bad = xstate_violation(states, SAMPLE_TOL)
+    bad = xstate_violation(states)
     if bad is not None:
         k, reason = bad
         sample = np.unravel_index(k, states.shape[:-1])[0]
@@ -426,6 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_out(path: str | None):
+    """ValueError, before the run, for an --out that cannot be opened for writing.  It is opened
+    without truncation, so a file already there is kept; a file the check creates is removed."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def remove_stale_out(args):
     """Delete the --out file of a failed run, so no earlier output passes for its result."""
     if args.out is not None and os.path.isfile(args.out):
@@ -440,6 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in settings(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+        check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,8 +27,6 @@ from .model import DerivedRates, WaveguideParams, generator_at, generator_coeffi
 #: most samples one time grid may hold; admits the longest wait
 #: ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
 MAX_SAMPLES = 10**6 + 1
-#: invariant tolerance for propagated samples, which carry accumulated round-off
-SAMPLE_TOL = 1e-8
 
 
 class IntegrationError(RuntimeError):
@@ -40,6 +38,10 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, last_time: float):
         super().__init__(message)
         self.last_time = last_time
+
+
+class InvariantViolation(RuntimeError):
+    """Raised when a computed state is not a density matrix to STRUCT_TOL."""
 
 
 def off_x_leakage(m: np.ndarray) -> float:
@@ -61,13 +63,14 @@ def x_matrix(xs: np.ndarray) -> np.ndarray:
     return m
 
 
-def xstate_violation(xs: np.ndarray, tol: float = STRUCT_TOL) -> tuple[int, str] | None:
+def xstate_violation(xs: np.ndarray) -> tuple[int, str] | None:
     """(index, reason) of the first row of an (..., 8) X-state array that is not a density
-    matrix, or None: the first failing check of finite elements, unit trace, populations in
-    [0, 1], |z|^2 <= bc, |w|^2 <= ad.  Reductions of whole columns certify first (NaN and inf
-    fail them; |z|^2 - bc in squares must be tol/2 - 1e-14 under the bound, room for its
+    matrix to tol = STRUCT_TOL, or None: the first failing check of finite elements, unit trace,
+    populations in [0, 1], |z|^2 <= bc, |w|^2 <= ad.  Whole-column reductions certify first (NaN
+    and inf fail them; |z|^2 - bc in squares must be tol/2 - 1e-14 under the bound, room for its
     round-off against hypot's square); only an array they do not certify is diagnosed by row.
     """
+    tol = STRUCT_TOL
     xs = np.reshape(xs, (-1, 8))
     a, b, c, d, zr, zi, wr, wi = xs.T  # xs.T[:4]: the populations as one (4, N) block
     with np.errstate(invalid="ignore", over="ignore"):  # sum(axis=0) adds a + b + c + d in turn

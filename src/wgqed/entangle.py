@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import SIGMA_Y, check_density_matrix, tensor
-from .dynamics import SAMPLE_TOL, evolve_xstate, xstate_violation
+from .dynamics import evolve_xstate, xstate_violation
 from .model import WaveguideParams, derive_rates
 from .states import FAMILIES
 
@@ -56,12 +56,9 @@ def margins(xs: np.ndarray) -> np.ndarray:
 
 
 def concurrence_x(x: np.ndarray) -> float:
-    """Closed-form concurrence of one X vector (a, b, c, d, Re z, Im z, Re w, Im w), in [0, 1].
-
-    The state is validated to SAMPLE_TOL, so propagated samples, which
-    carry accumulated round-off, still pass.
-    """
-    bad = xstate_violation(x, SAMPLE_TOL)
+    """Closed-form concurrence of one X vector (a, b, c, d, Re z, Im z, Re w, Im w), in [0, 1];
+    the state is validated to STRUCT_TOL (:func:`wgqed.dynamics.xstate_violation`)."""
+    bad = xstate_violation(x)
     if bad is not None:
         raise ValueError(bad[1])
     return float(np.clip(margins(x), 0.0, 1.0))

@@ -56,19 +56,19 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
-    """Validate trace, hermiticity and positivity; returns the input."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate trace, hermiticity and positivity to STRUCT_TOL; returns the input."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} deviates from 1 beyond tolerance {tol}")
+    if abs(tr - 1.0) > STRUCT_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond tolerance {STRUCT_TOL}")
     defect = hermiticity_defect(rho)
-    if defect > tol:
+    if defect > STRUCT_TOL:
         raise ValueError(f"density matrix not Hermitian: max asymmetry {defect:.3e}")
     lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if lo < -tol:
+    if lo < -STRUCT_TOL:
         raise ValueError(f"density matrix not PSD: min eigenvalue {lo:.3e}")
     return rho
 

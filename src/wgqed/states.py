@@ -19,16 +19,17 @@ from .linalg import (
     tensor,
     tensor_all,
 )
-from .dynamics import grid_steps, propagate, x_matrix
+from .dynamics import InvariantViolation, grid_steps, propagate, x_matrix
 from .model import check_fields, lindblad_generator, mhz
 
 WAIT_CAP_US = 1e4
 
 
-def _fidelities(f, family: str, lo: float, hi: float, slack: float) -> tuple:
-    """(f, zeros like f) as arrays; ValueError at the first f outside [lo - slack, hi + slack]."""
+def _fidelities(f, family: str, lo: float, hi: float) -> tuple:
+    """(f, zeros like f) as arrays; ValueError at the first f outside [lo, hi] by more than
+    STRUCT_TOL, which admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16."""
     fs = np.asarray(f, dtype=float)
-    out = ~((lo - slack <= fs) & (fs <= hi + slack))
+    out = ~((lo - STRUCT_TOL <= fs) & (fs <= hi + STRUCT_TOL))
     if out.any():
         raise ValueError(f"{family} fidelity must be in [{lo:g}, {hi:g}], got "
                          f"{fs[out][0] if fs.ndim else f}")
@@ -42,8 +43,7 @@ def werner(f: float) -> np.ndarray:
 
 def werner_vector(f) -> np.ndarray:
     """X vectors (:func:`wgqed.dynamics.x_matrix`) of Werner states: (8,) at one f, (m, 8) at m."""
-    # the slack admits grid round-off such as np.arange(0.3, 1.001, 0.1)[-1] = 1 + 2e-16
-    f, zero = _fidelities(f, "werner", 0.25, 1.0, STRUCT_TOL)
+    f, zero = _fidelities(f, "werner", 0.25, 1.0)
     a, b = (1 - f) / 3, (1 + 2 * f) / 6
     return np.array([a, b, b, a, (1 - 4 * f) / 6, zero, zero, zero]).T
 
@@ -55,7 +55,7 @@ def pseudo_werner(f: float) -> np.ndarray:
 
 def pw_vector(f) -> np.ndarray:
     """X vectors of pseudo-Werner states, shaped as :func:`werner_vector`'s."""
-    f, zero = _fidelities(f, "pseudo-Werner", 0.0, 1.0, 0.0)
+    f, zero = _fidelities(f, "pseudo-Werner", 0.0, 1.0)
     return np.array([f / 8, (1 + f) / 4, 3 * f / 8, 3 * (1 - f) / 4,
                      zero, np.sqrt(3) * f / 4, zero, zero]).T
 
@@ -180,6 +180,7 @@ def mixed_qubit(cfg: RabiConfig) -> MixResult:
     the qubit frequency) equilibrates the populations near 1/2; waiting
     afterwards lets the excited population decay to the target ground
     population f.  An optional exact pi-pulse at the end maps f -> 1 - f.
+    Raises InvariantViolation when the final state is not a density matrix to STRUCT_TOL.
     """
     if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
         warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
@@ -204,12 +205,16 @@ def mixed_qubit(cfg: RabiConfig) -> MixResult:
     rho_final = arr[-1]
     if cfg.final_flip:
         rho_final = SIGMA_X @ rho_final @ SIGMA_X
+    try:
+        check_density_matrix(rho_final)
+    except ValueError as exc:
+        raise InvariantViolation(f"final state: {exc}") from None
     return MixResult(
         times=np.concatenate(times_all),
         rho_gg=arr[:, 0, 0].real,
         rho_ee=arr[:, 1, 1].real,
         abs_rho_eg=np.abs(arr[:, 1, 0]),
-        rho_final=check_density_matrix(rho_final, tol=1e-6),
+        rho_final=rho_final,
         f_achieved=float(rho_final[0, 0].real),
     )
 

@@ -163,6 +163,14 @@ class TestScan:
         cells = [line.split(",")[:2] for line in lines[1:]]
         assert cells == [["0.8", "1.5"], ["0.8", "2"], ["0.9", "1.5"], ["0.9", "2"]]
 
+    def test_grid_round_off_past_the_family_range_is_a_row(self, tmp_path):
+        # parse_range("0.09:1.0:0.07")[-1] is 1 + 2e-16, which pseudo-Werner admits as f = 1
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--state", "pw", "--f-range", "0.09:1.0:0.07", "--lambda-ratios",
+                     "1.5", "--t-max", "0.5", "--sample-dt", "0.01", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 14 and rows[-1].startswith("1,1.5,")
+
     def test_bad_ratio_list(self, capsys):
         assert main(["scan", "--f-range", "0.8", "--lambda-ratios", "x"]) == EXIT_USAGE
 
@@ -686,6 +694,33 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: cannot write --out {path}: {reason}\n"
 
+    @pytest.mark.parametrize("name, reason", [
+        (".", "Is a directory"),
+        ("missing/x.csv", "No such file or directory"),
+    ])
+    def test_unwritable_out_is_refused_before_the_run(self, name, reason, monkeypatch,
+                                                       tmp_path, capsys):
+        # 10^6 + 1 samples that are never propagated: the path is checked first
+        def unreachable(*args):
+            raise AssertionError("propagated before --out was checked")
+
+        monkeypatch.setattr(wgqed.cli, "evolve_xstate", unreachable)
+        path = tmp_path / name
+        assert main(self.EVOLVE + ["--t-max", "10", "--sample-dt", "1e-5",
+                                   "--out", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write --out {path}: {reason}\n"
+
+    def test_out_check_leaves_no_file_and_keeps_an_earlier_one(self, tmp_path, capsys):
+        # a usage error found after the check: a file the check made is gone, an earlier
+        # file is kept as it was
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("left over from an earlier run\n")
+        for out in new, old:
+            assert main(["evolve", "--state", "pw", "--f", "1.5", "--lambda-ratio", "1.5",
+                         "--out", str(out)]) == EXIT_USAGE
+        assert not new.exists()
+        assert old.read_text() == "left over from an earlier run\n"
+
     @pytest.mark.parametrize("argv", [
         ["prepare", "--f", "0.8", "--gamma", "5"],
         ["mix", "--gamma", "5"],
@@ -745,6 +780,16 @@ class TestExitCodes:
                                    "--out", str(out)])
         assert code == EXIT_INVARIANT
         assert "sample at t = 0.07 us: populations sum to" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_mix_state_is_invariant_violation(self, tmp_path, capsys):
+        # a drive far above any qubit frequency drifts the final trace by 1.2e-6
+        assert wgqed.cli.InvariantViolation is wgqed.dynamics.InvariantViolation
+        out = tmp_path / "mix.csv"
+        out.write_text("left over from an earlier run\n")
+        assert main(["mix", "--omega", "1e8", "--pulse", "35", "--sample-dt", "0.01",
+                     "--out", str(out)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err.startswith("invariant violation: final state: trace ")
         assert not out.exists()
 
 

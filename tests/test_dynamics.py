@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import wgqed
 from wgqed.dynamics import (
-    SAMPLE_TOL,
     IntegrationError,
     evolve_full,
     evolve_xstate,
@@ -51,23 +50,26 @@ def params(ratio, **kw):
     return WaveguideParams(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=ratio, **kw)
 
 
-#: where a row sits against a bound: -tol, -tol/2, tol/2 or tol from it, plus round-off
-TOL_STEPS = (-1.0, -0.5, 0.5, 1.0)
+#: where a row sits against a bound: -offset, -offset/2, offset/2 or offset from it, plus
+#: round-off; an offset of STRUCT_TOL puts it at the edge of what the checks admit
+OFFSET_STEPS = (-1.0, -0.5, 0.5, 1.0)
+#: the offsets: on the bound, at the checks' tolerance, and past it
+OFFSETS = (0.0, STRUCT_TOL, 1e-8, 1e-3)
 NUDGES = (-1e-15, -2e-16, 0.0, 2e-16, 1e-15)
 EDGE_KINDS = ("valid", "trace", "low", "high", "z", "w")
 
 
-def edge_row(kind, tol, step, nudge, k=0, cuts=(16, 32, 48), angle=0.7):
+def edge_row(kind, offset, step, nudge, k=0, cuts=(16, 32, 48), angle=0.7):
     """An X state that is valid, or has one condition (trace, population k low or high,
-    |z|^2 - bc or |w|^2 - ad) at step * tol + nudge from its bound and the others kept.
+    |z|^2 - bc or |w|^2 - ad) at step * offset + nudge from its bound and the others kept.
     Populations from cuts are multiples of 1/64, so that their sum is exactly 1 and the
-    trace check does not mask the others even at tol = 0."""
+    trace check does not mask the others."""
     x = np.zeros(8)
     x[:4] = np.diff([0, *sorted(cuts), 64]) / 64
-    at = step * tol + nudge
+    at = step * offset + nudge
     if kind in ("low", "high"):  # the other populations keep the trace at 1
         x[:4] = 0.0
-        x[k] = -tol + nudge if kind == "low" else 1.0 + tol + nudge
+        x[k] = -offset + nudge if kind == "low" else 1.0 + offset + nudge
         x[[(k + 1) % 4, (k + 2) % 4]] = (1.0 - x[k]) / 2
         return x
     if kind == "trace":
@@ -79,9 +81,9 @@ def edge_row(kind, tol, step, nudge, k=0, cuts=(16, 32, 48), angle=0.7):
 
 
 @st.composite
-def edge_rows(draw, tol):
+def edge_rows(draw, offset):
     """edge_row with drawn arguments, or with one element made NaN or infinite."""
-    x = edge_row(draw(st.sampled_from(EDGE_KINDS)), tol, draw(st.sampled_from(TOL_STEPS)),
+    x = edge_row(draw(st.sampled_from(EDGE_KINDS)), offset, draw(st.sampled_from(OFFSET_STEPS)),
                  draw(st.sampled_from(NUDGES)), draw(st.integers(0, 3)),
                  draw(st.lists(st.integers(0, 64), min_size=3, max_size=3)),
                  draw(st.floats(0.0, 2 * np.pi)))
@@ -145,31 +147,32 @@ class TestXState:
                                                "not 1")
 
     @settings(max_examples=250, deadline=None)
-    @given(data=st.data(), tol=st.sampled_from([0.0, STRUCT_TOL, SAMPLE_TOL, 1e-3]))
-    def test_certificate_changes_no_verdict(self, data, tol):
+    @given(data=st.data(), offset=st.sampled_from(OFFSETS))
+    def test_certificate_changes_no_verdict(self, data, offset):
         # the certificate, then the row-by-row diagnosis, give what the diagnosis alone
-        # gives; rows sit at +-tol of every bound, NaN and inf included
-        xs = np.array(data.draw(st.lists(edge_rows(tol), max_size=6)) or np.zeros((0, 8)))
-        assert xstate_violation(xs, tol) == xstate_violation_by_rows(xs, tol)
+        # gives; rows sit at +-offset of every bound, NaN and inf included
+        xs = np.array(data.draw(st.lists(edge_rows(offset), max_size=6)) or np.zeros((0, 8)))
+        assert xstate_violation(xs) == xstate_violation_by_rows(xs)
 
-    @pytest.mark.parametrize("tol", [0.0, STRUCT_TOL, SAMPLE_TOL, 1e-3])
+    @pytest.mark.parametrize("offset", OFFSETS)
     @pytest.mark.parametrize("kind", EDGE_KINDS)
-    def test_certificate_changes_no_verdict_at_any_bound(self, kind, tol):
-        for step, nudge, k in itertools.product(TOL_STEPS, NUDGES, range(4)):
-            x = edge_row(kind, tol, step, nudge, k)
-            assert xstate_violation(x, tol) == xstate_violation_by_rows(x, tol)
+    def test_certificate_changes_no_verdict_at_any_bound(self, kind, offset):
+        for step, nudge, k in itertools.product(OFFSET_STEPS, NUDGES, range(4)):
+            x = edge_row(kind, offset, step, nudge, k)
+            assert xstate_violation(x) == xstate_violation_by_rows(x)
 
-    @pytest.mark.parametrize("tol", [0.0, STRUCT_TOL])
-    def test_certificate_is_sound_on_the_psd_boundary(self, tol):
-        # |z|^2 = bc + tol up to round-off, where the sum of squares and hypot's square
-        # disagree in the last bits in about one row in ten
+    @pytest.mark.parametrize("offset", [0.0, STRUCT_TOL])
+    def test_certificate_is_sound_on_the_psd_boundary(self, offset):
+        # |z|^2 = bc + offset up to round-off: on the state space's boundary, and at the edge
+        # of what the checks admit, where the sum of squares and hypot's square disagree in the
+        # last bits in about one row in ten
         rng = np.random.default_rng(8)
         for _ in range(2000):
             x = np.zeros(8)
             x[:4] = np.diff([0, *sorted(rng.integers(0, 65, 3)), 64]) / 64
             angle = rng.uniform(0.0, 2 * np.pi)
-            x[4:6] = np.sqrt(x[1] * x[2] + tol) * np.array([np.cos(angle), np.sin(angle)])
-            assert xstate_violation(x, tol) == xstate_violation_by_rows(x, tol)
+            x[4:6] = np.sqrt(x[1] * x[2] + offset) * np.array([np.cos(angle), np.sin(angle)])
+            assert xstate_violation(x) == xstate_violation_by_rows(x)
 
     def test_off_x_leakage_is_the_largest_element_off_the_x(self):
         m = x_matrix(x_vector(0.4, 0.3, 0.2, 0.1))
@@ -386,9 +389,9 @@ class TestPropagate:
         broken[n // 2, m - 1, 4] += 1.0  # |z|^2 > bc at one sample of the last state
         for xs in ys, broken:
             copy = np.ascontiguousarray(xs)
-            assert xstate_violation(xs, SAMPLE_TOL) == xstate_violation(copy, SAMPLE_TOL)
+            assert xstate_violation(xs) == xstate_violation(copy)
             assert np.array_equal(margins(xs), margins(copy))
-        assert xstate_violation(broken, SAMPLE_TOL)[0] == n // 2 * m + m - 1
+        assert xstate_violation(broken)[0] == n // 2 * m + m - 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 1000, 1023, 1024, 1500, 2000])
     def test_blocked_powers_match_expm_at_every_doubling(self, n):

@@ -1,0 +1,71 @@
+"""The map's exact symmetries: the rates as one mirror Green's function, and three maps of the
+parameters that leave every death set in place.
+
+Every rate is a multiple of the phase phi = 2 pi x2 / lambda.  S1: r and r / (1 + r) have phases
+phi and phi + 2 pi.  S2: r and r / (r - 1) have phases phi and 2 pi - phi, which conjugates the
+generator, and concurrence is invariant under rho -> rho*, so a real family (Werner) keeps its
+death set.  S3: scaling gamma and gamma_nr together scales the generator and its time window
+inversely.  Draws are on the grid lambda/x2 = 1.05 + 0.005 k, k = 0..390, where each holds to
+within 2.4e-14.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wgqed.entangle import F_LO, death_set
+from wgqed.model import WaveguideParams, derive_rates, mhz
+
+GAMMA, GAMMA_NR = mhz(5.0), mhz(0.03)
+PARAMS = WaveguideParams(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=2.0)
+GRID = 1.05 + 0.005 * np.arange(391)
+ratios = st.sampled_from(GRID.tolist())
+families = st.sampled_from(sorted(F_LO))
+few = settings(max_examples=6, deadline=None)
+
+
+def assert_same_set(got, want):
+    assert len(got) == len(want), f"{got} against {want}"
+    np.testing.assert_allclose(np.reshape(got, (-1, 2)), np.reshape(want, (-1, 2)),
+                               rtol=0, atol=1e-13)
+
+
+def test_rates_are_one_mirror_greens_function():
+    # G_ij = e^(ik|x_i - x_j|) + e^(ik(x_i + x_j)) at k x_a = phi/2, k x_b = 3 phi/2:
+    # Gamma_ij - gamma_nr delta_ij = gamma Re G_ij, shifts (gamma/2) Im G_ii, g_x (gamma/2) Im G_ab
+    r = derive_rates(SimpleNamespace(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=GRID))
+    kx = np.stack([r.phi / 2, 3 * r.phi / 2], axis=-1)[:, :, None]
+    g = np.exp(1j * np.abs(kx - kx.swapaxes(1, 2))) + np.exp(1j * (kx + kx.swapaxes(1, 2)))
+    for got, want in [(r.gamma_a - GAMMA_NR, GAMMA * g[:, 0, 0].real),
+                      (r.gamma_b - GAMMA_NR, GAMMA * g[:, 1, 1].real),
+                      (r.gamma_col, GAMMA * g[:, 0, 1].real),
+                      (r.d_omega1, GAMMA / 2 * g[:, 0, 0].imag),
+                      (r.d_omega2, GAMMA / 2 * g[:, 1, 1].imag),
+                      (r.g_x, GAMMA / 2 * g[:, 0, 1].imag)]:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * GAMMA)
+
+
+@few
+@given(ratios, families)
+@example(1.2, "werner")
+@example(1.9, "pw")
+def test_s1_one_period_of_the_phase_keeps_the_death_set(r, family):
+    assert_same_set(death_set(r / (1 + r), PARAMS, family), death_set(r, PARAMS, family))
+
+
+@few
+@given(ratios)
+@example(1.2)  # and 6
+@example(1.9)  # and 2.11
+@example(2.5)  # and 1.667
+def test_s2_the_reflected_phase_keeps_the_werner_death_set(r):
+    assert_same_set(death_set(r / (r - 1), PARAMS, "werner"), death_set(r, PARAMS, "werner"))
+
+
+@few
+@given(ratios, families, st.sampled_from([1e-3, 10.0, 1e3]))
+def test_s3_scaling_both_rates_keeps_the_death_set(r, family, scale):
+    scaled = WaveguideParams(gamma=GAMMA * scale, gamma_nr=GAMMA_NR * scale, lambda_ratio=2.0)
+    assert_same_set(death_set(r, scaled, family), death_set(r, PARAMS, family))

@@ -17,6 +17,7 @@ import numpy as np
 
 from wgqed.dynamics import evolve_xstate, propagate, x_matrix
 from wgqed.entangle import DEATH_RTOL
+from wgqed.linalg import STRUCT_TOL
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
                          build_hamiltonian, derive_rates, lindblad_generator)
 from wgqed.states import FAMILIES, LOWERING_CBA
@@ -36,9 +37,10 @@ def x_from_matrix(m: np.ndarray) -> np.ndarray:
                      z.real, z.imag, w.real, w.imag], axis=-1)
 
 
-def xstate_violation_by_rows(xs: np.ndarray, tol: float) -> tuple[int, str] | None:
-    """``xstate_violation`` without its whole-array certificate: every check on every row."""
-    xs = np.reshape(xs, (-1, 8))
+def xstate_violation_by_rows(xs: np.ndarray) -> tuple[int, str] | None:
+    """``xstate_violation`` without its whole-array certificate: every check on every row, to
+    STRUCT_TOL."""
+    xs, tol = np.reshape(xs, (-1, 8)), STRUCT_TOL
     a, b, c, d, zr, zi, wr, wi = xs.T
     finite = np.isfinite(xs)
     with np.errstate(invalid="ignore", over="ignore"):
