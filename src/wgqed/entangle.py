@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import SIGMA_Y, check_density_matrix, tensor
 from .dynamics import evolve_xstate, xstate_violation
 from .model import WaveguideParams, derive_rates
-from .states import FAMILIES
+from .states import FAMILIES, pw_vector
 
 _YY = tensor(SIGMA_Y, SIGMA_Y)
 #: detect_events: a death is C <= DEAD_EPS for at least DEATH_HOLD samples
@@ -30,9 +30,9 @@ class NonMonotoneError(RuntimeError):
 class EsdReport:
     """Zero crossings of the concurrence along a trajectory."""
 
-    death_times: list[float] = field(default_factory=list)
-    revival_times: list[float] = field(default_factory=list)
-    final_concurrence: float = 0.0
+    death_times: list[float]
+    revival_times: list[float]
+    final_concurrence: float
 
 
 def margins(xs: np.ndarray) -> np.ndarray:
@@ -77,9 +77,10 @@ def concurrence_wootters(rho: np.ndarray) -> float:
 
 
 def pw_concurrence_closed(f: float) -> float:
-    """Closed-form concurrence of the pseudo-Werner family."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f must be in [0, 1], got {f}")
+    """Closed-form concurrence of the pseudo-Werner family, at f in its fidelity range
+    (:func:`wgqed.states.pw_vector`) clamped to [0, 1]."""
+    pw_vector(f)
+    f = min(max(f, 0.0), 1.0)
     big_f = np.sqrt(3.0) * (2 * f - np.sqrt(2 * f * (1 - f))) / 8.0
     big_g = -np.sqrt(3 * f * (1 + f) / 32.0)
     return float(2.0 * max(0.0, big_f, big_g))

@@ -107,16 +107,12 @@ def _pade_rows(m: int) -> np.ndarray:
 
 
 #: (m, theta_m, rows): the Padé degrees tried in turn, the largest ||A||_1 for
-#: which each is accurate in double precision (Higham 2005, Table 2.3), and
+#: which each is accurate in double precision (Higham 2005, Table 2.3; for
+#: degree 13 the bound on eta that a / 2^s meets, Al-Mohy & Higham 2009), and
 #: its :func:`_pade_rows`
-PADE_LOW = [(m, theta, _pade_rows(m)) for m, theta in (
+PADE = [(m, theta, _pade_rows(m)) for m, theta in (
     (3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1), (9, 2.097847961257068e0))]
-#: degree 13 over I, A^2, A^4, A^6 (Higham 2005): rows u/A and v of the terms
-#: below A^8, then the rows that A^6 multiplies
-PADE_13 = np.vstack([_pade_rows(13)[:, :4], np.pad(_pade_rows(13)[:, 4:], ((0, 0), (1, 0)))])
-#: the bound on eta that the scaled matrix meets for degree 13 (Al-Mohy & Higham 2009)
-THETA_13 = 4.25
+    (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 4.25))]
 #: log2 of |c_27| / u: the leading coefficient of exp(x) - r_13(x) over the unit roundoff
 LOG2_C27_OVER_U = 53 - math.log2(math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2)
 
@@ -153,13 +149,13 @@ def _extra_squarings(a: np.ndarray, norm: float, s: int) -> int:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square float or complex array, in numpy alone.
 
-    Padé scaling and squaring.  Degree m in 3, 5, 7, 9 is used when
-    ||a||_1 <= theta_m (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
-    Otherwise degree 13 is evaluated at a / 2^s and squared s times, with
-    s from the exact 1-norms of a's powers plus ell (Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31(3), 2009).  Those powers are formed
-    unscaled, so an a whose powers overflow gives an all-NaN result
-    rather than an exception.
+    Padé scaling and squaring: for every degree m, the even-power rows of the
+    [m/m] approximant are evaluated at a / 2^s and the result squared s times.
+    Degree m in 3, 5, 7, 9 is used with s = 0 when ||a||_1 <= theta_m (Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005).  Otherwise degree 13 only chooses
+    s, from the exact 1-norms of a's unscaled powers plus ell (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31(3), 2009), so an a whose powers overflow
+    gives an all-NaN result rather than an exception.
 
     The squarings act on e = r - I, not on the Padé value r itself, so
     their rounding scales with e: a column that a generator leaves fixed
@@ -168,13 +164,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     n, norm = len(a), _onenorm(a)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in NaN
-        for m, theta, rows in PADE_LOW:
-            if norm <= theta:
-                p = _even_powers(a, rows.shape[1])
-                u, v = (rows @ p.reshape(len(p), -1)).reshape(2, n, n)
-                u, s = a @ u, 0
-                break
-        else:
+        m, theta, rows = next((d for d in PADE if norm <= d[1]), PADE[-1])
+        s = 0
+        if m == 13:
             p = _even_powers(a, 4)
             d6, d8 = _onenorm(p[3]) ** (1 / 6), _onenorm(p[2] @ p[2]) ** (1 / 8)
             # eta = min(max(d6, d8), max(d8, d10)), below max(d6, d8) only if d8 < d6
@@ -183,13 +175,12 @@ def expm(a: np.ndarray) -> np.ndarray:
                 eta = min(eta, max(d8, _onenorm(p[2] @ p[3]) ** (1 / 10)))
             if not math.isfinite(eta):
                 return np.full(a.shape, np.nan, dtype=p.dtype)
-            s = max(math.ceil(math.log2(eta / THETA_13)), 0) if eta > 0 else 0
+            s = max(math.ceil(math.log2(eta / theta)), 0) if eta > 0 else 0
             s += _extra_squarings(a, norm, s)
-            c = 2.0 ** -s
-            p *= (c ** np.arange(0, 8, 2))[:, None, None]
-            w = (PADE_13 @ p.reshape(4, -1)).reshape(4, n, n)
-            high = p[3] @ w[2:]
-            u, v = (c * a) @ (w[0] + high[0]), w[1] + high[1]
+            a = a * 2.0 ** -s
+        p = _even_powers(a, rows.shape[1])
+        u, v = (rows @ p.reshape(len(p), -1)).reshape(2, n, n)
+        u = a @ u
         # r - I = (v - u)^-1 2u; (I + e)^2 - I = e (e + 2I)
         e, two = np.linalg.solve(v - u, u + u), 2 * p[0]
         for _ in range(s):

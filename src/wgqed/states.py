@@ -80,8 +80,7 @@ class PrepConfig:
     gamma_nr: float = mhz(0.03)
 
     def __post_init__(self):
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"f must be in [0, 1], got {self.f}")
+        pw_vector(self.f)  # the family's fidelity range
         check_fields(self, ("g_strength", "g_bc_strength", "gamma_nr"), ("gamma_nr",))
         for name, angle in zip(("g_strength", "g_bc_strength"), GATE_ANGLES):
             g = getattr(self, name)
@@ -97,7 +96,7 @@ class PrepResult:
     rho2: np.ndarray
     rho3: np.ndarray
     rho_out: np.ndarray
-    gate_durations_us: tuple[float, float] | None = None
+    gate_durations_us: tuple[float, float] | None
 
 
 # exchange generators: identity on the untouched qubit, XY on the active pair

@@ -63,18 +63,12 @@ def run_op(op: dict, workdir: str) -> dict:
             "prepare": {k: prep[k] for k in ("rho_out", "fidelity_to_target")}}
 
 
-def op_lists():
-    """(workload, seed, ops) for every op list the reference covers."""
-    wait = lambda f: wgqed.wait_time_for_f(f, wgqed.mhz(wl.GAMMA_NR_MHZ))  # noqa: E731
-    for workload, seeds in SEEDS.items():
-        for seed in seeds:
-            yield workload, seed, wl.make_ops(workload, seed, wait_time_for_f=wait)
-
-
 def outputs() -> list[dict]:
+    wait = lambda f: wgqed.wait_time_for_f(f, wgqed.mhz(wl.GAMMA_NR_MHZ))  # noqa: E731
     with tempfile.TemporaryDirectory() as workdir:
         return [{"workload": workload, "seed": seed, "op": i, "out": run_op(op, workdir)}
-                for workload, seed, ops in op_lists() for i, op in enumerate(ops)]
+                for workload, seeds in SEEDS.items() for seed in seeds
+                for i, op in enumerate(wl.make_ops(workload, seed, wait_time_for_f=wait))]
 
 
 def main():

@@ -278,6 +278,16 @@ class TestPrepare:
         assert len(payload["gate_durations_us"]) == 2
         assert payload["fidelity_to_target"] > 0.999
 
+    def test_grid_round_off_past_the_family_range_runs(self, tmp_path):
+        # pseudo-Werner admits STRUCT_TOL past f = 1, as evolve and scan do
+        rho = {}
+        for f in ("1", "1.0000000000000002"):
+            out = tmp_path / f"prep_{f}.json"
+            assert main(["prepare", "--f", f, "--out", str(out)]) == EXIT_OK
+            payload = json.loads(out.read_text())["rho_out"]
+            rho[f] = np.array(payload["re"]) + 1j * np.array(payload["im"])
+        assert np.abs(rho["1"] - rho["1.0000000000000002"]).max() <= 1e-15
+
     @pytest.mark.parametrize("mode", [[], ["--dissipative"]])
     def test_negative_gamma_nr_is_usage_error(self, mode, tmp_path, capsys):
         out = tmp_path / "prep.json"

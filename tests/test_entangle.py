@@ -148,8 +148,13 @@ class TestPwClosedForm:
                 concurrence_x(pw_vector(f)), abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fidelity must"):
             pw_concurrence_closed(1.5)
+
+    def test_grid_round_off_is_clamped(self):
+        # the family admits STRUCT_TOL past [0, 1]; sqrt(2 f (1 - f)) would be NaN there
+        assert pw_concurrence_closed(1 + 2e-16) == pw_concurrence_closed(1.0)
+        assert pw_concurrence_closed(-1e-17) == pw_concurrence_closed(0.0)
 
 
 class TestDetectEvents:

@@ -234,8 +234,9 @@ class TestExpm:
     @given(ratio=RATIO, gamma=log_uniform(0.1, 1e12), dt=DT)
     def test_matches_the_exact_exponential_up_to_stiff_rates(self, ratio, gamma, dt):
         # many squarings carry round-off from the fast modes into the slow
-        # ones: the worst of 700 draws was 4.4e-12 (scipy: 6.8e-12), and near
-        # lambda/x2 = 2 above 1e11 MHz the trace lost reached 9e-11 (scipy: 4e-11)
+        # ones: the worst of 1300 draws with ||a||_1 > theta_9 was 4.3e-12
+        # (scipy: 5.4e-12), and near lambda/x2 = 2 above 1e11 MHz the trace
+        # lost reached 1.4e-11 in 1300 draws (scipy: 2.7e-11)
         a = x_generator(ratio, gamma) * dt
         assert np.abs(expm(a) - exact_expm(a)).max() < 1e-9
 
@@ -262,8 +263,14 @@ class TestExpm:
     @given(ratio=RATIO, gamma=log_uniform(0.1, 10.0), dt=log_uniform(2.5e-4, 0.1))
     def test_population_columns_sum_to_one(self, ratio, gamma, dt):
         # each squaring adds about one unit of round-off: at 30 MHz x 0.5 us
-        # the sums are off by 2.7e-14
+        # the sums are off by up to 2.6e-14
         assert trace_defect(expm(x_generator(ratio, gamma) * dt)) < 1e-14
+
+    def test_huge_generator_stays_finite(self):
+        # ||a||_1 = 1.9e35: s comes from a's powers up to a^10, formed unscaled, which
+        # stay finite; powers up to a^12 would overflow from ||a||_1 of about 4e25
+        x = expm(x_generator(1.5, 1e34) * 0.5)
+        assert np.isfinite(x).all() and trace_defect(x) < 1e-14
 
     def test_overflowing_powers_give_nan_without_raising(self):
         # the propagator reports this as a numerical failure (exit 3); with

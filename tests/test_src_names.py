@@ -1,5 +1,6 @@
-"""Every name defined in src/ is used by the program or exported by the package,
-and every parameter default in src/ is overridden by some call."""
+"""Every name defined in src/ is used by the program or exported by the package, every
+parameter default in src/ is overridden by some call, and every dataclass field default in src/
+is relied on by some constructor call."""
 
 import ast
 import re
@@ -68,13 +69,38 @@ def sets(call: ast.Call, param: str, position: int | None) -> bool:
         isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_default_is_overridden_somewhere():
+def calls() -> list[tuple[str | None, ast.Call]]:
+    """(callee name, call) for every call in src/ and tests/."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
-    calls = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n)
-             for path in sources for n in ast.walk(ast.parse(path.read_text()))
-             if isinstance(n, ast.Call)]
+    return [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n)
+            for path in sources for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call)]
+
+
+def test_every_default_is_overridden_somewhere():
+    every_call = calls()
     unset = sorted(f"{path.name}:{name}({param})" for path in sorted(PACKAGE.glob("*.py"))
                    for name, param, position in defaulted_params(ast.parse(path.read_text()))
                    if not any(callee == name and sets(call, param, position)
-                              for callee, call in calls))
+                              for callee, call in every_call))
     assert not unset, f"parameters with a default that no call in src/ or tests/ sets: {unset}"
+
+
+def dataclass_defaults(tree: ast.Module):
+    """(class, field, position in a constructor call) per dataclass field with a default."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield cls.name, f.target.id, i
+
+
+def test_every_dataclass_default_is_relied_on_somewhere():
+    every_call = calls()
+    unused = sorted(f"{path.name}:{name}.{field}" for path in sorted(PACKAGE.glob("*.py"))
+                    for name, field, position in dataclass_defaults(ast.parse(path.read_text()))
+                    if all(callee != name or sets(call, field, position)
+                           for callee, call in every_call))
+    assert not unused, f"dataclass defaults that no call in src/ or tests/ relies on: {unused}"

@@ -156,10 +156,15 @@ class TestPreparation:
         assert fidelity(res.rho_out, pseudo_werner(0.8)) > 0.999
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="f must"):
+        with pytest.raises(ValueError, match="fidelity must"):
             PrepConfig(f=1.5)
         with pytest.raises(ValueError, match="coupling strengths"):
             PrepConfig(f=0.5, with_dissipation=True, g_strength=0.0)
+
+    @pytest.mark.parametrize("f", [-1e-17, 1.0000000000000002])
+    def test_config_admits_the_family_range(self, f):
+        # the pseudo-Werner family's range: [0, 1] and STRUCT_TOL past either end
+        assert PrepConfig(f=f).f == f
 
     @pytest.mark.parametrize("dissipative", [False, True])
     def test_config_rejects_negative_gamma_nr(self, dissipative):

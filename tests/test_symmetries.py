@@ -1,12 +1,14 @@
 """The map's exact symmetries: the rates as one mirror Green's function, and three maps of the
-parameters that leave every death set in place.
+parameters that leave every death set and every concurrence curve in place.
 
 Every rate is a multiple of the phase phi = 2 pi x2 / lambda.  S1: r and r / (1 + r) have phases
 phi and phi + 2 pi.  S2: r and r / (r - 1) have phases phi and 2 pi - phi, which conjugates the
 generator, and concurrence is invariant under rho -> rho*, so a real family (Werner) keeps its
-death set.  S3: scaling gamma and gamma_nr together scales the generator and its time window
-inversely.  Draws are on the grid lambda/x2 = 1.05 + 0.005 k, k = 0..390, where each holds to
-within 2.4e-14.
+death set and its curves; pseudo-Werner, whose coherence z is imaginary, maps to its conjugate
+family (Im z -> -Im z).  S3: scaling gamma and gamma_nr together scales the generator and its time
+window inversely.  Draws are on the grid lambda/x2 = 1.05 + 0.005 k, k = 0..390, where each holds
+on the death sets to within 2.4e-14 and on the curves (f = 0.35..1, over 8 / gamma in 1000
+steps) to within 5.8e-14.
 """
 
 from types import SimpleNamespace
@@ -15,8 +17,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wgqed.entangle import F_LO, death_set
+from wgqed.dynamics import evolve_xstate
+from wgqed.entangle import F_LO, death_set, trajectory_concurrences
 from wgqed.model import WaveguideParams, derive_rates, mhz
+from wgqed.states import FAMILIES
 
 GAMMA, GAMMA_NR = mhz(5.0), mhz(0.03)
 PARAMS = WaveguideParams(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=2.0)
@@ -24,6 +28,9 @@ GRID = 1.05 + 0.005 * np.arange(391)
 ratios = st.sampled_from(GRID.tolist())
 families = st.sampled_from(sorted(F_LO))
 few = settings(max_examples=6, deadline=None)
+FS = np.linspace(0.35, 1.0, 14)
+#: X vector signs that conjugate a state: Im z -> -Im z, Im w -> -Im w
+CONJUGATE = np.array([1, 1, 1, 1, 1, -1, 1, -1])
 
 
 def assert_same_set(got, want):
@@ -69,3 +76,51 @@ def test_s2_the_reflected_phase_keeps_the_werner_death_set(r):
 def test_s3_scaling_both_rates_keeps_the_death_set(r, family, scale):
     scaled = WaveguideParams(gamma=GAMMA * scale, gamma_nr=GAMMA_NR * scale, lambda_ratio=2.0)
     assert_same_set(death_set(r, scaled, family), death_set(r, PARAMS, family))
+
+
+def concurrences(r, x0s, scale=1.0):
+    """Concurrence curves of a stack of X states at lambda/x2 = r, over 8 / gamma in 1000 steps,
+    with gamma and gamma_nr scaled by scale."""
+    p = WaveguideParams(gamma=GAMMA * scale, gamma_nr=GAMMA_NR * scale, lambda_ratio=r)
+    t_max = 8.0 / p.gamma
+    return trajectory_concurrences(evolve_xstate(x0s, derive_rates(p), p, t_max, t_max / 1000)[1])
+
+
+def assert_same_curves(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@few
+@given(ratios, families)
+def test_s1_one_period_of_the_phase_keeps_the_concurrence(r, family):
+    x0s = FAMILIES[family](FS)
+    assert_same_curves(concurrences(r / (1 + r), x0s), concurrences(r, x0s))
+
+
+@few
+@given(ratios)
+@example(1.2)
+def test_s2_the_reflected_phase_keeps_the_werner_concurrence(r):
+    x0s = FAMILIES["werner"](FS)
+    assert_same_curves(concurrences(r / (r - 1), x0s), concurrences(r, x0s))
+
+
+@few
+@given(ratios)
+@example(1.2)
+def test_s2_the_reflected_phase_maps_pseudo_werner_to_its_conjugate(r):
+    x0s = FAMILIES["pw"](FS)
+    assert_same_curves(concurrences(r / (r - 1), x0s * CONJUGATE), concurrences(r, x0s))
+
+
+def test_s2_does_not_keep_the_pseudo_werner_concurrence():
+    # the negative control: unconjugated, the curves differ by 0.46 at 1.2 (0.55 at 1.275)
+    x0s = FAMILIES["pw"](FS)
+    assert np.abs(concurrences(1.2 / (1.2 - 1), x0s) - concurrences(1.2, x0s)).max() > 0.4
+
+
+@few
+@given(ratios, families, st.sampled_from([1e-3, 10.0, 1e3]))
+def test_s3_scaling_both_rates_keeps_the_concurrence(r, family, scale):
+    x0s = FAMILIES[family](FS)
+    assert_same_curves(concurrences(r, x0s, scale), concurrences(r, x0s))
