@@ -29,7 +29,6 @@ from .entangle import (
     pw_concurrence_closed,
 )
 from .states import (
-    MixResult,
     PrepConfig,
     PrepResult,
     RabiConfig,

@@ -315,14 +315,15 @@ def cmd_mix(args) -> int:
         raise ValueError(f"--pulse + --wait must be finite, got {args.pulse} + {args.wait}")
     cfg = RabiConfig(omega=mhz(args.omega), gamma_nr=mhz(args.gamma_nr),
                      pulse_duration=args.pulse, wait_duration=args.wait,
-                     final_flip=args.flip, sample_dt=args.sample_dt)
-    res = mixed_qubit(cfg)
+                     sample_dt=args.sample_dt)
+    times, states = mixed_qubit(cfg)
+    # an exact final pi-pulse sigma_x rho sigma_x only swaps the populations: --flip reads rho_ee
+    f = float(states[-1, 1, 1].real if args.flip else states[-1, 0, 0].real)
     columns = ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
-    table = (res.times, res.rho_gg, res.rho_ee, res.abs_rho_eg)
-    emit(args, {"f_achieved": res.f_achieved, "columns": columns, "samples": table},
-         columns, table)
+    table = (times, states[:, 0, 0].real, states[:, 1, 1].real, np.abs(states[:, 1, 0]))
+    emit(args, {"f_achieved": f, "columns": columns, "samples": table}, columns, table)
     if args.format == "csv" and args.out:  # stdout stays one CSV table
-        print(f"f_achieved = {res.f_achieved:.12g}")
+        print(f"f_achieved = {f:.12g}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import STRUCT_TOL, expm, sector
+from .linalg import STRUCT_TOL, expm
 from .model import DerivedRates, WaveguideParams, generator_at, generator_coefficients
 
 #: most samples one time grid may hold; admits the longest wait
@@ -99,14 +99,11 @@ def xstate_violation(xs: np.ndarray) -> tuple[int, str] | None:
     return k, reasons[int(np.argmax(bad[k]))]
 
 
-#: X coordinates to vec(rho) (16x8), and vec(rho) to X coordinates as the real part (8x16,
-#: Im x = Re(-1j x)): a, b, c, d on the diagonal of the q = 0 sector (linalg.sector), z above
-#: it, w in q = -2; X_IN also holds each coherence's conjugate at the transposed index
-_Q0 = sector(2, 0)
-_X_AT = np.r_[_Q0[_Q0 // 4 == _Q0 % 4], np.repeat([_Q0[_Q0 // 4 < _Q0 % 4], sector(2, -2)], 2)]
-X_IN, X_OUT = np.zeros((16, 8), dtype=complex), np.zeros((8, 16), dtype=complex)
-X_IN[_X_AT % 4 * 4 + _X_AT // 4, range(8)] = X_OUT[range(8), _X_AT] = [1, 1, 1, 1, 1, -1j, 1, -1j]
-X_IN[_X_AT, range(8)] = X_OUT[range(8), _X_AT].conj()
+#: X coordinates to vec(rho) (16x8): the unit X states of x_matrix, each coherence with its
+#: conjugate; and vec(rho) to X coordinates as the real part (8x16, Im x = Re(-1j x)): the
+#: conjugate transpose on the elements on or above the diagonal alone
+X_IN = x_matrix(np.eye(8)).reshape(8, 16).T
+X_OUT = X_IN.T.conj() * np.triu(np.ones((4, 4))).ravel()
 
 
 def xstate_generator_matrix(gen: np.ndarray) -> np.ndarray:

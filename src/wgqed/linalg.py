@@ -57,10 +57,12 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate trace, hermiticity and positivity to STRUCT_TOL; returns the input."""
+    """Validate finiteness, trace, hermiticity and positivity to STRUCT_TOL; returns the input."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # NaN would pass every tolerance test below
+        raise ValueError("density matrix has non-finite elements")
     tr = np.trace(rho)
     if abs(tr - 1.0) > STRUCT_TOL:
         raise ValueError(f"trace {tr} deviates from 1 beyond tolerance {STRUCT_TOL}")

@@ -148,13 +148,13 @@ def _gate(rho: np.ndarray, h: np.ndarray, duration: float, gamma_nr: float) -> n
 
 @dataclass(frozen=True)
 class RabiConfig:
-    """Square-envelope resonant drive followed by a free-decay wait."""
+    """Square-envelope resonant drive followed by a free-decay wait; :func:`mixed_qubit` runs
+    it and returns (times, states)."""
 
     omega: float = mhz(30.0)
     gamma_nr: float = mhz(0.03)
     pulse_duration: float = 35.0
     wait_duration: float = 0.0
-    final_flip: bool = False
     sample_dt: float = 0.01
 
     def __post_init__(self):
@@ -162,23 +162,14 @@ class RabiConfig:
                      ("omega", "gamma_nr", "pulse_duration", "wait_duration"), ("sample_dt",))
 
 
-@dataclass
-class MixResult:
-    times: np.ndarray
-    rho_gg: np.ndarray
-    rho_ee: np.ndarray
-    abs_rho_eg: np.ndarray
-    rho_final: np.ndarray
-    f_achieved: float
-
-
-def mixed_qubit(cfg: RabiConfig) -> MixResult:
+def mixed_qubit(cfg: RabiConfig) -> tuple[np.ndarray, np.ndarray]:
     """Drive a single qubit into a mixed state via its intrinsic decay.
 
     A long resonant pulse (H = Omega/2 sigma_x in the frame rotating at
     the qubit frequency) equilibrates the populations near 1/2; waiting
     afterwards lets the excited population decay to the target ground
-    population f.  An optional exact pi-pulse at the end maps f -> 1 - f.
+    population f.  Returns (times, states), as the evolve paths of
+    wgqed.dynamics do: the (n,) sample times and the (n, 2, 2) density matrices.
     Raises InvariantViolation when the final state is not a density matrix to STRUCT_TOL.
     """
     if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
@@ -200,22 +191,12 @@ def mixed_qubit(cfg: RabiConfig) -> MixResult:
         times_all.append(t_offset + np.linspace(0.0, duration, n + 1)[1:])
         t_offset += duration
 
-    arr = np.concatenate(samples).reshape(-1, 2, 2)
-    rho_final = arr[-1]
-    if cfg.final_flip:
-        rho_final = SIGMA_X @ rho_final @ SIGMA_X
+    states = np.concatenate(samples).reshape(-1, 2, 2)
     try:
-        check_density_matrix(rho_final)
+        check_density_matrix(states[-1])
     except ValueError as exc:
         raise InvariantViolation(f"final state: {exc}") from None
-    return MixResult(
-        times=np.concatenate(times_all),
-        rho_gg=arr[:, 0, 0].real,
-        rho_ee=arr[:, 1, 1].real,
-        abs_rho_eg=np.abs(arr[:, 1, 0]),
-        rho_final=rho_final,
-        f_achieved=float(rho_final[0, 0].real),
-    )
+    return np.concatenate(times_all), states
 
 
 def wait_time_for_f(f: float, gamma_nr: float) -> float:

@@ -215,9 +215,9 @@ def test_criterion_07_concurrence_oracle_equivalence(criterion_log):
 
 def test_criterion_08_mixed_state_generation(criterion_log):
     failures = []
-    pulse = mixed_qubit(RabiConfig())
-    end_gap = abs(pulse.rho_gg[-1] - 0.5)
-    coh = abs(pulse.abs_rho_eg[-1])
+    _, pulse = mixed_qubit(RabiConfig())
+    end_gap = abs(pulse[-1, 0, 0].real - 0.5)
+    coh = abs(pulse[-1, 1, 0])
     if end_gap > 0.01:
         failures.append(f"|rho_gg - 1/2| = {end_gap:.4f} after the pulse")
     if coh > 0.01:
@@ -227,9 +227,10 @@ def test_criterion_08_mixed_state_generation(criterion_log):
     if abs(wait - 4.86) > 0.01:
         failures.append(f"wait time {wait:.4f} us, expected 4.86 +/- 0.01")
 
-    full = mixed_qubit(RabiConfig(wait_duration=wait))
-    if abs(full.f_achieved - 0.8) > 0.005:
-        failures.append(f"f_achieved = {full.f_achieved:.4f}, expected 0.8 +/- 0.005")
+    _, full = mixed_qubit(RabiConfig(wait_duration=wait))
+    f_achieved = full[-1, 0, 0].real
+    if abs(f_achieved - 0.8) > 0.005:
+        failures.append(f"f_achieved = {f_achieved:.4f}, expected 0.8 +/- 0.005")
 
     _verdict(criterion_log, 8,
              "driven-then-wait protocol reaches the half mixture and the "

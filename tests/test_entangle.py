@@ -25,7 +25,7 @@ from wgqed.entangle import (
 )
 from wgqed.model import WaveguideParams, derive_rates, mhz
 from wgqed.states import FAMILIES, pw_vector, werner_vector
-from xstate_oracles import dies_by_repropagation, random_xstate, x_vector
+from xstate_oracles import NON_FINITE, dies_by_repropagation, random_xstate, x_vector
 
 PARAMS = WaveguideParams(gamma=mhz(5.0), gamma_nr=mhz(0.03), lambda_ratio=2.0)
 
@@ -132,6 +132,11 @@ class TestConcurrenceWootters:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="4x4"):
             concurrence_wootters(np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize("rho", NON_FINITE.values(), ids=list(NON_FINITE))
+    def test_rejects_non_finite(self, rho):
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence_wootters(rho)
 
 
 class TestPwClosedForm:

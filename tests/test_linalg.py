@@ -27,6 +27,7 @@ from wgqed.linalg import (
 )
 from wgqed.model import WaveguideParams, build_generator, derive_rates, lindblad_generator, mhz
 from wgqed.states import LOWERING_CBA, XY_BA, XY_CB
+from xstate_oracles import NON_FINITE
 
 RNG = np.random.default_rng(1234)
 
@@ -107,6 +108,12 @@ class TestCheckDensityMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             check_density_matrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("rho", NON_FINITE.values(), ids=list(NON_FINITE))
+    def test_rejects_non_finite(self, rho):
+        # NaN passes every tolerance comparison, and eigvalsh does not converge on it
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density_matrix(rho)
 
 
 class TestPartialTrace:

@@ -1,10 +1,13 @@
 """Unit tests for initial states and the preparation/mixing protocols."""
 
+import json
+
 import numpy as np
 import pytest
 
+from wgqed.cli import EXIT_OK, main
 from wgqed.dynamics import MAX_SAMPLES, grid_steps, x_matrix
-from wgqed.linalg import check_density_matrix, fidelity, partial_trace
+from wgqed.linalg import SIGMA_X, check_density_matrix, fidelity, partial_trace
 from wgqed.model import mhz
 from wgqed.states import (
     FAMILIES,
@@ -185,24 +188,33 @@ class TestMixedQubit:
     FAST_NR = mhz(3.0)
 
     def test_long_pulse_reaches_half_mixture(self):
-        res = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=2.0,
-                                     sample_dt=0.002))
-        assert res.f_achieved == pytest.approx(0.5, abs=0.01)
+        times, states = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=2.0,
+                                               sample_dt=0.002))
+        assert times.shape == (len(states),) and states.shape == (len(times), 2, 2)
+        assert states[-1, 0, 0].real == pytest.approx(0.5, abs=0.01)
         # steady-state drive coherence scales like gamma_nr / omega
-        assert res.abs_rho_eg[-1] < self.FAST_NR / mhz(30.0)
+        assert abs(states[-1, 1, 0]) < self.FAST_NR / mhz(30.0)
 
     def test_wait_reaches_target_population(self):
         wait = wait_time_for_f(0.8, self.FAST_NR)
-        res = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=2.0,
-                                     wait_duration=wait, sample_dt=0.002))
-        assert res.f_achieved == pytest.approx(0.8, abs=0.005)
+        times, states = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=2.0,
+                                               wait_duration=wait, sample_dt=0.002))
+        assert times.shape == (len(states),) and states.shape == (len(times), 2, 2)
+        assert states[-1, 0, 0].real == pytest.approx(0.8, abs=0.005)
 
-    def test_final_flip_inverts_population(self):
-        wait = wait_time_for_f(0.8, self.FAST_NR)
-        res = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=2.0,
-                                     wait_duration=wait, final_flip=True,
-                                     sample_dt=0.002))
-        assert res.f_achieved == pytest.approx(0.2, abs=0.005)
+    def test_final_flip_inverts_population(self, tmp_path):
+        # mix --flip reads f off the unflipped run as the exact pi-pulse sigma_x rho sigma_x
+        out = tmp_path / "mix.json"
+        for gamma_nr, pulse, f in ((3.0, 2.0, 0.8), (1.5, 3.0, 0.6), (5.0, 0.7, 0.9)):
+            wait = wait_time_for_f(f, mhz(gamma_nr))
+            args = ["--gamma-nr", repr(gamma_nr), "--pulse", repr(pulse), "--wait", repr(wait),
+                    "--sample-dt", "0.002"]
+            assert main(["mix", *args, "--flip", "--format", "json", "--out", str(out)]) == EXIT_OK
+            flipped = json.loads(out.read_text())["f_achieved"]
+            _, states = mixed_qubit(RabiConfig(gamma_nr=mhz(gamma_nr), pulse_duration=pulse,
+                                               wait_duration=wait, sample_dt=0.002))
+            assert flipped.hex() == (SIGMA_X @ states[-1] @ SIGMA_X)[0, 0].real.hex()
+            assert flipped == pytest.approx(1 - f, abs=0.01)
 
     def test_short_pulse_warns(self):
         with pytest.warns(UserWarning, match="pulse shorter"):
@@ -210,10 +222,11 @@ class TestMixedQubit:
                                    sample_dt=0.002))
 
     def test_times_monotone_across_segments(self):
-        res = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=1.0,
-                                     wait_duration=0.3, sample_dt=0.01))
-        assert np.all(np.diff(res.times) > 0)
-        assert res.times[-1] == pytest.approx(1.3)
+        times, states = mixed_qubit(RabiConfig(gamma_nr=self.FAST_NR, pulse_duration=1.0,
+                                               wait_duration=0.3, sample_dt=0.01))
+        assert times.shape == (131,) and states.shape == (131, 2, 2)
+        assert np.all(np.diff(times) > 0)
+        assert times[-1] == pytest.approx(1.3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="must be >= 0"):

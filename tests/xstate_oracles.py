@@ -7,8 +7,9 @@ hand-transcribed kinetic equations of the source text, the Lindblad
 generator written channel by channel with np.kron and the collective term
 expanded by hand, the sudden-death verdict of one fidelity propagated on its
 own, the X maps with their vec(rho) indices written
-out by hand, and a dissipative gate propagated on all 64 entries of the
-register, not on its excitation-number sector alone.
+out by hand, a dissipative gate propagated on all 64 entries of the
+register, not on its excitation-number sector alone, and 4x4 matrices that
+hold a NaN or an infinity.
 """
 
 from dataclasses import replace
@@ -21,6 +22,15 @@ from wgqed.linalg import STRUCT_TOL
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
                          build_hamiltonian, derive_rates, lindblad_generator)
 from wgqed.states import FAMILIES, LOWERING_CBA
+
+
+#: 4x4 matrices that hold a NaN or an infinity, by name
+NON_FINITE = {
+    "nan-population": np.diag([np.nan, 1, 0, 0]),
+    "all-nan": np.full((4, 4), np.nan),
+    "inf-population": np.diag([np.inf, 1, 0, 0]),
+    "inf-coherence": np.eye(4) / 4 + np.diag([complex(0, np.inf)] * 3, 1),
+}
 
 
 def x_vector(a, b, c, d, z=0j, w=0j) -> np.ndarray:
