@@ -4,6 +4,8 @@ Human-facing rates are linear frequencies in MHz (the 2*pi divided back
 out); internal angular-frequency values appear in JSON under ``raw``.
 Output files are byte-deterministic: '.' decimal, ',' separator, '\\n'
 line endings, no timestamps, 12 significant digits in CSV and in JSON the shortest repr.
+A run writes --out from its start, in place, and cuts a regular file at the end of the new
+output; a device or FIFO (/dev/null, /dev/stdout, a pipe) is written without a cut.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -102,7 +105,7 @@ def json_blocks(payload: dict):
 
 
 def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
-    """Write a result to --out (checked by :func:`check_out`), or stdout.
+    """Write a result over --out (checked by :func:`check_out`) from its start, or to stdout.
 
     JSON, for --format json or a result with no table, is {"generated_by", "config",
     **fields}, config holding every setting but --out and --format.  CSV is the columns,
@@ -118,8 +121,13 @@ def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
     if args.out is None:
         sys.stdout.writelines(blocks)
         return
-    with open(args.out, "w", newline="") as fh:
-        fh.writelines(blocks)
+    with os.fdopen(open_out(args.out), "w", newline="") as fh:
+        try:
+            fh.writelines(blocks)
+            fh.flush()
+        finally:  # cut at the bytes written, so a failed write too leaves no old tail
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
 
 
 # --- configuration files -------------------------------------------------
@@ -419,14 +427,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def open_out(path: str) -> int:
+    """A descriptor of path for writing from its start: created if missing, never truncated."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
 def check_out(path: str | None):
-    """ValueError, before the run, for an --out that cannot be opened for writing.  It is opened
-    without truncation, so a file already there is kept; a file the check creates is removed."""
+    """ValueError, before the run, for an --out open_out refuses; a file it creates is removed."""
     if path is None:
         return
     existed = os.path.lexists(path)
     try:
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        os.close(open_out(path))
     except OSError as exc:
         raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
     if not existed:

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface (run in-process)."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -467,6 +468,81 @@ class TestEmit:
                                      indent=2, sort_keys=True) + "\n"
         assert as_csv == "".join(line + "\n" for line in [",".join(fields["columns"])]
                                  + [csv_line(row) for row in table.tolist()])
+
+
+def stdout_bytes(argv: list[str], capsys) -> bytes:
+    assert main(argv) == EXIT_OK
+    return capsys.readouterr().out.encode()
+
+
+#: runs whose --out is compared with their stdout; a CSV mix with --out also prints
+#: f_achieved to stdout, so mix is compared as JSON
+IN_PLACE_RUNS = {
+    "rates": BYTE_RUNS["rates"],
+    "evolve-csv": BYTE_RUNS["evolve"],
+    "evolve-json": BYTE_RUNS["evolve"] + ["--format", "json"],
+    "scan": BYTE_RUNS["scan"],
+    "prepare": BYTE_RUNS["prepare"],
+    "mix-json": BYTE_RUNS["mix"] + ["--format", "json"],
+    "cpw": BYTE_RUNS["cpw"],
+}
+
+
+class TestOutInPlace:
+    """--out is written over from its start and a regular file is cut at the new end."""
+
+    @pytest.mark.parametrize("old", ["longer", "shorter"])
+    @pytest.mark.parametrize("argv", IN_PLACE_RUNS.values(), ids=IN_PLACE_RUNS)
+    def test_out_over_an_earlier_file_is_the_stdout_bytes(self, argv, old, tmp_path, capsys):
+        want = stdout_bytes(argv, capsys)
+        out, keep = tmp_path / "out", tmp_path / "hard-link"
+        out.write_bytes(want * 2 + b"stale\n" if old == "longer" else b"stale\n")
+        assert len(want) > len(b"stale\n")
+        os.link(out, keep)  # holds the inode, so a new file at out could not reuse its number
+        inode = out.stat().st_ino
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == want
+        assert out.stat().st_ino == inode
+        assert keep.read_bytes() == want  # the same file was written, not a new one
+
+    @pytest.mark.parametrize("target_exists", [True, False])
+    def test_symlinked_out_rewrites_its_target(self, target_exists, tmp_path, capsys):
+        argv = IN_PLACE_RUNS["evolve-csv"]
+        want = stdout_bytes(argv, capsys)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if target_exists:
+            target.write_bytes(want * 2)
+        link.symlink_to(target)
+        assert main(argv + ["--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+
+    @pytest.mark.parametrize("argv", IN_PLACE_RUNS.values(), ids=IN_PLACE_RUNS)
+    def test_device_out_is_written_without_a_cut(self, argv):
+        assert main(argv + ["--out", os.devnull]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv, writer", [
+        (IN_PLACE_RUNS["evolve-csv"], "csv_blocks"),
+        (IN_PLACE_RUNS["evolve-json"], "json_blocks"),
+    ])
+    def test_failed_write_leaves_a_prefix_and_no_old_tail(self, argv, writer, monkeypatch,
+                                                          tmp_path, capsys):
+        want = stdout_bytes(argv, capsys)
+        real, written = getattr(wgqed.cli, writer), []
+
+        def failing(*args):
+            written.append(next(real(*args)))
+            yield written[0]
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(wgqed.cli, writer, failing)
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * (2 * len(want)))
+        with pytest.raises(OSError, match="No space left on device"):
+            main(argv + ["--out", str(out)])
+        # the first block alone, as a truncating open leaves it: a proper prefix of the output
+        assert out.read_bytes() == written[0].encode()
+        assert want.startswith(out.read_bytes()) and len(out.read_bytes()) < len(want)
 
 
 class TestConfigFile:
