@@ -24,8 +24,8 @@ import numpy as np
 from .linalg import STRUCT_TOL, expm
 from .model import DerivedRates, WaveguideParams, generator_at, generator_coefficients
 
-#: most samples one time grid may hold; admits the longest wait
-#: ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
+#: most samples one time grid may hold (states.mixed_qubit: each segment's grid); admits the
+#: longest wait ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
 MAX_SAMPLES = 10**6 + 1
 
 

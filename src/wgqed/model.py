@@ -62,7 +62,7 @@ class WaveguideParams:
     def __post_init__(self):
         check_fields(self, ("gamma", "gamma_nr", "lambda_ratio", "delta_bare", "g"),
                      ("gamma", "gamma_nr"), ("lambda_ratio",))
-        if math.isinf(3 * (TWO_PI / self.lambda_ratio)):  # derive_rates' 3 phi
+        if math.isinf(3 * (TWO_PI / self.lambda_ratio)):  # derive_rates' e^(3i phi)
             raise ValueError(f"6*pi/lambda_ratio overflows at lambda_ratio {self.lambda_ratio}")
 
 
@@ -80,22 +80,22 @@ class DerivedRates:
 
 
 def derive_rates(p: WaveguideParams) -> DerivedRates:
-    """Rates and couplings induced by the shorted line at the given wavelength.
+    """Rates and couplings induced by the shorted line, also elementwise over an array of ratios.
 
-    phi = 2*pi*x2/lambda is the propagation phase between the two coupling points; every derived
-    quantity is a trigonometric function of phi, elementwise over an array of ratios (cmd_rates).
-    """
+    All six are read from the mirror Green's function G_ij = e^(ik|x_i - x_j|) + e^(ik(x_i + x_j)),
+    qubit a at x2/2 and qubit b at 3 x2/2 from the short, phi = 2 pi x2/lambda: Gamma_ij =
+    gamma Re G_ij + gamma_nr delta_ij, d_omega_i = (gamma/2) Im G_ii, g_x = (gamma/2) Im G_ab."""
     phi = TWO_PI / p.lambda_ratio
-    c1, c2, c3 = np.cos(phi), np.cos(2 * phi), np.cos(3 * phi)
-    s1, s2, s3 = np.sin(phi), np.sin(2 * phi), np.sin(3 * phi)
+    e1, e2, e3 = np.exp(1j * phi), np.exp(2j * phi), np.exp(3j * phi)
+    g_aa, g_ab, g_bb = 1 + e1, e1 + e2, 1 + e3
     return DerivedRates(
         phi=phi,
-        gamma_a=p.gamma * (1 + c1) + p.gamma_nr,
-        gamma_b=p.gamma * (1 + c3) + p.gamma_nr,
-        gamma_col=p.gamma * (c1 + c2),
-        g_x=p.gamma * (s1 + s2) / 2,
-        d_omega1=p.gamma / 2 * s1,
-        d_omega2=p.gamma / 2 * s3,
+        gamma_a=p.gamma * g_aa.real + p.gamma_nr,
+        gamma_b=p.gamma * g_bb.real + p.gamma_nr,
+        gamma_col=p.gamma * g_ab.real,
+        g_x=p.gamma / 2 * g_ab.imag,
+        d_omega1=p.gamma / 2 * g_aa.imag,
+        d_omega2=p.gamma / 2 * g_bb.imag,
     )
 
 

@@ -165,11 +165,11 @@ class RabiConfig:
 def mixed_qubit(cfg: RabiConfig) -> tuple[np.ndarray, np.ndarray]:
     """Drive a single qubit into a mixed state via its intrinsic decay.
 
-    A long resonant pulse (H = Omega/2 sigma_x in the frame rotating at
-    the qubit frequency) equilibrates the populations near 1/2; waiting
-    afterwards lets the excited population decay to the target ground
-    population f.  Returns (times, states), as the evolve paths of
-    wgqed.dynamics do: the (n,) sample times and the (n, 2, 2) density matrices.
+    A long resonant pulse (H = Omega/2 sigma_x in the frame rotating at the qubit frequency)
+    equilibrates the populations near 1/2; waiting afterwards lets the excited population decay
+    to the target ground population f.  Returns (times, states), as the evolve paths of
+    wgqed.dynamics do: the (n,) sample times and the (n, 2, 2) density matrices.  MAX_SAMPLES
+    caps the pulse's grid and the wait's grid each (grid_steps), so n stays below twice it.
     Raises InvariantViolation when the final state is not a density matrix to STRUCT_TOL.
     """
     if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):

@@ -244,6 +244,10 @@ class TestMixedQubit:
         # the longest wait wait_time_for_f allows fits the cap at the default
         # step; ten times that is refused before anything is propagated
         assert grid_steps(WAIT_CAP_US, RabiConfig().sample_dt) + 1 <= MAX_SAMPLES
+        # the cap is per segment: the default pulse then that wait holds more in all
+        cfg = RabiConfig(wait_duration=WAIT_CAP_US)
+        steps = [grid_steps(d, cfg.sample_dt) for d in (cfg.pulse_duration, cfg.wait_duration)]
+        assert 1 + sum(steps) == 1_003_501 > MAX_SAMPLES
         with pytest.raises(ValueError, match=f"limit is {MAX_SAMPLES}"):
             mixed_qubit(RabiConfig(wait_duration=10 * WAIT_CAP_US))
 

@@ -1,5 +1,6 @@
-"""The map's exact symmetries: the rates as one mirror Green's function, and three maps of the
-parameters that leave every death set and every concurrence curve in place.
+"""The map's exact symmetries: the rates as one mirror Green's function, equal bit for bit to the
+paper's cos/sin closed forms and of rank one, and three maps of the parameters that leave every
+death set and every concurrence curve in place.
 
 Every rate is a multiple of the phase phi = 2 pi x2 / lambda.  S1: r and r / (1 + r) have phases
 phi and phi + 2 pi.  S2: r and r / (r - 1) have phases phi and 2 pi - phi, which conjugates the
@@ -14,6 +15,7 @@ steps) to within 5.8e-14.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +54,42 @@ def test_rates_are_one_mirror_greens_function():
                       (r.d_omega2, GAMMA / 2 * g[:, 1, 1].imag),
                       (r.g_x, GAMMA / 2 * g[:, 0, 1].imag)]:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * GAMMA)
+
+
+def closed_forms(gamma, gamma_nr, ratio):
+    """Gamma_a, Gamma_b, Gamma_col, g_x, d_omega1 and d_omega2 as cos and sin of phi."""
+    phi = 2 * np.pi / ratio
+    c1, c2, c3 = np.cos(phi), np.cos(2 * phi), np.cos(3 * phi)
+    s1, s2, s3 = np.sin(phi), np.sin(2 * phi), np.sin(3 * phi)
+    return (gamma * (1 + c1) + gamma_nr, gamma * (1 + c3) + gamma_nr, gamma * (c1 + c2),
+            gamma * (s1 + s2) / 2, gamma / 2 * s1, gamma / 2 * s3)
+
+
+@pytest.mark.parametrize("gamma", [mhz(1e-3), GAMMA, mhz(1e3), mhz(1e12)])
+def test_rates_equal_the_closed_forms_bit_for_bit(gamma):
+    # the array path over the grid and the scalar path at the pinned ratios
+    runs = [(SimpleNamespace(gamma=gamma, gamma_nr=GAMMA_NR, lambda_ratio=GRID), GRID)]
+    runs += [(WaveguideParams(gamma=gamma, gamma_nr=GAMMA_NR, lambda_ratio=x), x)
+             for x in (1.2, 4 / 3, 1.5, 2.0, 3.0)]
+    for p, ratio in runs:
+        r = derive_rates(p)
+        got = (r.gamma_a, r.gamma_b, r.gamma_col, r.g_x, r.d_omega1, r.d_omega2)
+        for field, want in zip(got, closed_forms(gamma, GAMMA_NR, ratio)):
+            assert np.array_equal(field, want), "grid" if np.ndim(ratio) else f"ratio {ratio}"
+
+
+def test_the_rate_matrix_is_rank_one_with_a_dark_mode():
+    # Gamma - gamma_nr I = 2 gamma u u^T with u = (cos phi/2, cos 3 phi/2), so v = (u_b, -u_a)
+    # never radiates
+    r = derive_rates(SimpleNamespace(gamma=GAMMA, gamma_nr=GAMMA_NR,
+                                     lambda_ratio=1.05 + 0.005 * np.arange(991)))
+    rates = np.array([[r.gamma_a - GAMMA_NR, r.gamma_col],
+                      [r.gamma_col, r.gamma_b - GAMMA_NR]]).transpose(2, 0, 1)
+    u = np.stack([np.cos(r.phi / 2), np.cos(3 * r.phi / 2)], axis=-1)
+    np.testing.assert_allclose(rates, 2 * GAMMA * u[:, :, None] * u[:, None, :],
+                               rtol=0, atol=2e-15 * GAMMA)
+    v = np.stack([u[:, 1], -u[:, 0]], axis=-1)
+    np.testing.assert_allclose(np.einsum("nij,nj->ni", rates, v), 0, rtol=0, atol=2e-15 * GAMMA)
 
 
 @few
