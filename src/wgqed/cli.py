@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .cpw import CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength
 from .dynamics import (MAX_SAMPLES, IntegrationError, InvariantViolation, evolve_xstate,
-                       sample_times, xstate_violation)
+                       sample_times, whole_steps, xstate_violation)
 from .entangle import detect_events, trajectory_concurrences
 from .linalg import fidelity
 from .model import TWO_PI, WaveguideParams, derive_rates, mhz
@@ -44,11 +44,9 @@ CSV_BLOCK = 1024
 
 
 def parse_range(spec: str) -> np.ndarray:
-    """Parse 'start:stop:step' into a grid from start up to stop; 'x' alone is a single point.
-
-    stop is included when the span is a whole number of steps, up to round-off.  Raises
-    ValueError, before anything is allocated, for a grid of more than MAX_SAMPLES points.
-    """
+    """Parse 'x' into one point, and 'start:stop:step' into ``whole_steps(start, stop, step)``:
+    stop is included when the span is a whole number of steps, up to round-off, and a grid past
+    MAX_SAMPLES samples raises ValueError naming the range, before anything is allocated."""
     try:
         values = [float(p) for p in spec.split(":")]
     except ValueError:
@@ -58,12 +56,7 @@ def parse_range(spec: str) -> np.ndarray:
         raise ValueError(f"malformed range {spec!r}, expected 'start:stop:step' or a number")
     if len(values) == 1:
         return np.array(values)
-    start, stop, step = values
-    # 1e-9 of a step absorbs round-off: (1.0 - 0.3) / 0.05 = 13.999999999999998
-    steps = (stop - start) / step + 1e-9
-    if not steps < MAX_SAMPLES:
-        raise ValueError(f"range {spec!r} has {steps + 1:.3g} points; the limit is {MAX_SAMPLES}")
-    return start + step * np.arange(int(steps) + 1)
+    return whole_steps(*values, f"range {spec!r}")
 
 
 def csv_line(row) -> str:

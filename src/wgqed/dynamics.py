@@ -135,22 +135,25 @@ def grid_steps(duration: float, dt: float) -> int:
                      f"{steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
 
 
-def sample_times(t_max: float, sample_dt: float) -> np.ndarray:
-    """The checked time grid 0, sample_dt, ... up to t_max, with no sample past it.
+def whole_steps(start: float, stop: float, step: float, what: str) -> np.ndarray:
+    """start + k * step for k = 0, 1, ... up to stop: every sample_times grid and every --range.
 
-    Whole steps only; one short by under 1e-9 of a step (round-off) counts, as in cli.parse_range.
-    Raises ValueError, before anything is allocated, for more than MAX_SAMPLES samples.
-    """
+    A step short by under 1e-9 of itself counts: (1.0 - 0.3) / 0.05 = 13.999999999999998 is 14.
+    Raises ValueError naming ``what``, before anything is allocated, past MAX_SAMPLES samples."""
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_SAMPLES:
+        raise ValueError(f"{what} needs {steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
+    return start + step * np.arange(int(steps) + 1)
+
+
+def sample_times(t_max: float, sample_dt: float) -> np.ndarray:
+    """The checked time grid ``whole_steps(0, t_max, sample_dt)``: sample k is exactly
+    k * sample_dt, the time k steps of S = expm(M * sample_dt) reach, and none is past t_max."""
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if not (math.isfinite(sample_dt) and 0 < sample_dt <= t_max):
         raise ValueError(f"sample_dt must be finite and in (0, t_max], got {sample_dt}")
-    steps = t_max / sample_dt + 1e-9
-    if not steps < MAX_SAMPLES:
-        raise ValueError(f"{t_max:.6g} us at sample_dt = {sample_dt:.6g} us needs "
-                         f"{steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
-    n = int(steps)
-    return np.linspace(0.0, n * sample_dt, n + 1)
+    return whole_steps(0.0, t_max, sample_dt, f"{t_max:.6g} us at sample_dt = {sample_dt:.6g} us")
 
 
 def propagate(gen: np.ndarray, y0: np.ndarray, dt: float, n: int) -> np.ndarray:

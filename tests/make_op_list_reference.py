@@ -3,7 +3,10 @@
 Run from the repository root after a change that moves an output on purpose, and list the
 moved entries with the change:
 
-    PYTHONPATH=src python tests/make_op_list_reference.py
+    PYTHONPATH=src python tests/make_op_list_reference.py [OUT]
+
+OUT defaults to the committed ``op_list_reference.json``.  Another path lets two trees'
+outputs, regenerated on one host, be compared byte for byte with ``cmp``.
 
 The op lists are those of ``perfbench/workloads.py``: esd_map and protocols at seeds 1-5,
 trajectory at seed 1.  Each op runs through ``cli.main`` as the benchmark runs it: a threshold op
@@ -71,10 +74,10 @@ def outputs() -> list[dict]:
                 for i, op in enumerate(wl.make_ops(workload, seed, wait_time_for_f=wait))]
 
 
-def main():
+def main(path: Path):
     lines = ",\n".join(json.dumps(entry) for entry in outputs())
-    PATH.write_text("[\n" + lines + "\n]\n")
+    path.write_text("[\n" + lines + "\n]\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else PATH)

@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgqed
+from wgqed.cli import EXIT_USAGE, parse_range
+from wgqed.cli import main as cli_main
 from wgqed.dynamics import (
+    MAX_SAMPLES,
     IntegrationError,
     evolve_full,
     evolve_xstate,
@@ -317,8 +320,35 @@ class TestSampleTimes:
         assert sample_times(1.0, 0.3).tolist()[-1] == pytest.approx(0.9)
 
     def test_round_off_short_of_a_step_is_a_step(self):
-        # 0.7 / 0.05 = 13.999999999999998: fourteen steps, as in cli.parse_range
+        # 0.7 / 0.05 = 13.999999999999998: fourteen steps
         assert len(sample_times(0.7, 0.05)) == 15
+
+    @staticmethod
+    def assert_whole_steps(t_max, dt, n):
+        # sample k is k * dt bit for bit, and the time grid is the --range 0:t_max:dt
+        want = (dt * np.arange(n + 1)).tobytes()
+        assert sample_times(t_max, dt).tobytes() == want
+        assert parse_range(f"0:{t_max!r}:{dt!r}").tobytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.integers(1, 5000))
+    def test_one_whole_step_rule_for_times_and_ranges(self, t_max, n):
+        self.assert_whole_steps(t_max, t_max / n, n)
+
+    def test_one_whole_step_rule_absorbs_round_off(self):
+        # 0.7 / 0.05 and (1.0 - 0.3) / 0.05 are both 13.999999999999998: fourteen steps
+        self.assert_whole_steps(0.7, 0.05, 14)
+        assert parse_range("0.30:1.00:0.05").tobytes() == (0.3 + 0.05 * np.arange(15)).tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--range", "1:2:1e-13"],
+        ["scan", "--f-range", "0.3:1.0:1e-12", "--lambda-ratios", "1.5"],
+    ])
+    def test_over_cap_range_is_named(self, argv, capsys):
+        assert cli_main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: range {argv[2]!r} needs ")
+        assert err.endswith(f" samples; the limit is {MAX_SAMPLES}\n")
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-6, 1e6), st.sampled_from([1000, 1500]))

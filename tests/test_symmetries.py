@@ -1,6 +1,7 @@
 """The map's exact symmetries: the rates as one mirror Green's function, equal bit for bit to the
-paper's cos/sin closed forms and of rank one, and three maps of the parameters that leave every
-death set and every concurrence curve in place.
+paper's cos/sin closed forms and of rank one, whose dark mode decays at gamma_nr alone once the
+detuning and the direct coupling compensate the shifts and g_x, and three maps of the parameters
+that leave every death set and every concurrence curve in place.
 
 Every rate is a multiple of the phase phi = 2 pi x2 / lambda.  S1: r and r / (1 + r) have phases
 phi and phi + 2 pi.  S2: r and r / (r - 1) have phases phi and 2 pi - phi, which conjugates the
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from wgqed.dynamics import evolve_xstate
 from wgqed.entangle import F_LO, death_set, trajectory_concurrences
-from wgqed.model import WaveguideParams, derive_rates, mhz
+from wgqed.model import WaveguideParams, derive_rates, generator_coefficients, mhz
 from wgqed.states import FAMILIES
 
 GAMMA, GAMMA_NR = mhz(5.0), mhz(0.03)
@@ -90,6 +91,41 @@ def test_the_rate_matrix_is_rank_one_with_a_dark_mode():
                                rtol=0, atol=2e-15 * GAMMA)
     v = np.stack([u[:, 1], -u[:, 0]], axis=-1)
     np.testing.assert_allclose(np.einsum("nij,nj->ni", rates, v), 0, rtol=0, atol=2e-15 * GAMMA)
+
+
+def test_full_compensation_leaves_the_dark_mode_at_gamma_nr():
+    # Lalumiere et al., PRA 88, 043806 (2013): delta_bare = d_omega2 - d_omega1 and g = -g_x make
+    # H_1 = 0, so the one-excitation decay rates kappa = -2 Im eig(H_1 - (i/2) Gamma) are gamma_nr
+    # (the dark mode) and gamma_nr + 2 gamma |u|^2
+    r = derive_rates(SimpleNamespace(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=GRID))
+    p = SimpleNamespace(delta_bare=r.d_omega2 - r.d_omega1, g=-r.g_x)
+    th = generator_coefficients(r, p)
+    h1 = np.array([[(th[0] - th[1]) / 2, th[2]], [th[2], (th[1] - th[0]) / 2]])
+    np.testing.assert_allclose(h1, 0, rtol=0, atol=1e-15 * GAMMA)
+    rates = np.array([[th[3], th[4]], [th[4], th[5]]])
+    h_eff = (h1 - 0.5j * rates).transpose(2, 0, 1)
+    kappa = np.sort(-2 * np.linalg.eigvals(h_eff).imag, axis=-1)
+    np.testing.assert_allclose(kappa[:, 0], GAMMA_NR, rtol=1e-12)
+
+
+@few
+@given(ratios)
+@example(4 / 3)  # C(t) tends to exp(-gamma_nr t) / 2: entanglement trapped in the dark mode
+def test_compensated_single_excitation_concurrence_is_closed_form(ratio):
+    # psi(t) = exp(-gamma_nr t/2) [(I - P) + exp(-gamma |u|^2 t) P] (1, 0), P = u u^T / |u|^2,
+    # over (a excited, b excited) from one excitation on qubit a, so C(t) = 2 |psi_a psi_b|
+    r = derive_rates(WaveguideParams(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=ratio))
+    p = WaveguideParams(gamma=GAMMA, gamma_nr=GAMMA_NR, lambda_ratio=ratio,
+                        delta_bare=r.d_omega2 - r.d_omega1, g=-r.g_x)
+    x0 = np.eye(8)[1]  # b = 1: the population of |01>, qubit a excited
+    times, states = evolve_xstate(x0, derive_rates(p), p, 2.0, 0.005)
+    u = np.array([np.cos(r.phi / 2), np.cos(3 * r.phi / 2)])
+    p1 = u[0] * u / (u @ u)  # P (1, 0)
+    decay = np.exp(-GAMMA * (u @ u) * times)[:, None]
+    psi = np.exp(-GAMMA_NR * times / 2)[:, None] * (np.array([1.0, 0.0]) - p1 + decay * p1)
+    assert len(times) == 401
+    np.testing.assert_allclose(trajectory_concurrences(states), 2 * np.abs(psi[:, 0] * psi[:, 1]),
+                               rtol=0, atol=1e-13)
 
 
 @few
