@@ -148,7 +148,8 @@ def whole_steps(start: float, stop: float, step: float, what: str) -> np.ndarray
 
 def sample_times(t_max: float, sample_dt: float) -> np.ndarray:
     """The checked time grid ``whole_steps(0, t_max, sample_dt)``: sample k is exactly
-    k * sample_dt, the time k steps of S = expm(M * sample_dt) reach, and none is past t_max."""
+    k * sample_dt, the time k steps of S = expm(M * sample_dt) reach, and none is past t_max by
+    1e-9 of a step, up to round-off (``sample_times(0.7, 0.05)[-1]`` is 0.7000000000000001)."""
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if not (math.isfinite(sample_dt) and 0 < sample_dt <= t_max):
@@ -201,12 +202,18 @@ def evolve_xstate(x0: np.ndarray, r: DerivedRates, p: WaveguideParams, t_max: fl
     """(times, states) of the eight real X-manifold coordinates propagated (fast path).
 
     An X vector gives (n_t, 8) states; an (m, 8) stack is propagated as one and gives
-    (n_t, m, 8).  The 8x8 generator is :func:`xstate_basis`'s: no 16x16 build.
+    (n_t, m, 8).  The 8x8 generator is :func:`xstate_basis`'s: no 16x16 build.  One
+    :func:`xstate_violation` certifies every sample returned: a bad sample 0, the input, raises
+    ValueError, and a bad later sample :class:`InvariantViolation` naming its time.
     """
     y0 = np.asarray(x0, dtype=float)
-    bad = xstate_violation(y0)
-    if bad is not None:
-        raise ValueError(bad[1])
     m = (generator_coefficients(r, p) @ xstate_basis()).reshape(8, 8)
     times = sample_times(t_max, sample_dt)
-    return times, propagate(m, y0, sample_dt, len(times) - 1)
+    states = propagate(m, y0, sample_dt, len(times) - 1)
+    bad = xstate_violation(states)
+    if bad is None:
+        return times, states
+    k = np.unravel_index(bad[0], states.shape[:-1])[0]  # the sample of the first bad row
+    if not k:
+        raise ValueError(bad[1])
+    raise InvariantViolation(f"sample at t = {times[k]:.6g} us: {bad[1]}")

@@ -102,9 +102,10 @@ def detect_events(times: np.ndarray, c: np.ndarray) -> EsdReport | list[EsdRepor
     samples.  A concurrence that only decays below DEAD_EPS counts as a death here: this is
     not the negative-margin sudden death of :func:`death_set`.
     """
-    if len(times) < 2:
-        raise ValueError("trajectory needs at least 2 samples")
-    t, c = np.asarray(times), np.asarray(c)
+    t, c = np.asarray(times), np.atleast_1d(c)
+    if not 2 <= len(t) == len(c):
+        raise ValueError("trajectory needs at least 2 samples, one concurrence per time: "
+                         f"got {len(t)} times and {len(c)} concurrences")
     if c.ndim == 1:
         return detect_events(t, c[:, None])[0]
     (n, m), cs = c.shape, c.T.ravel()  # series j's sample i at j*n + i
@@ -175,8 +176,8 @@ def esd_threshold(lambda_ratio: float, p: WaveguideParams, state_family: str,
     The family's lowest f when no f dies.  A set that is not one interval from there raises
     NonMonotoneError, naming its intervals.  The stop is exact on the grid: it meets any tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     spans, lo = death_set(lambda_ratio, p, state_family), F_LO[state_family]
     if len(spans) > 1 or spans and spans[0][0] != lo:
         raise NonMonotoneError(f"death set in f is not one interval from {lo}: "

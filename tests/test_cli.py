@@ -23,19 +23,16 @@ from wgqed.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    InvariantViolation,
-    check_trajectory_invariants,
     csv_blocks,
     csv_line,
     json_blocks,
     main,
     parse_range,
 )
-from wgqed.dynamics import MAX_SAMPLES, evolve_xstate
+from wgqed.dynamics import MAX_SAMPLES, evolve_xstate, propagate
 from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
 from wgqed.states import werner_vector
-from xstate_oracles import x_vector
 
 
 class TestParseRange:
@@ -228,13 +225,13 @@ class TestScan:
         # cell, so only that cell is marked, under its own message
         spoiled = werner_vector(parse_range("0.7:0.9:0.1")[1])
 
-        def faulty_evolve(x0s, *args):
-            times, states = evolve_xstate(x0s, *args)
-            states[7, [np.array_equal(x, spoiled) for x in x0s], 1] = 1.5
-            return times, states
+        def faulty_propagate(gen, y0, *args):
+            states = propagate(gen, y0, *args)
+            states[7, [np.array_equal(x, spoiled) for x in y0], 1] = 1.5
+            return states
 
         good = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3")
-        monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
+        monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
         out = tmp_path / "scan.csv"
         assert main(["scan", "--f-range", "0.7:0.9:0.1", "--lambda-ratios", "1.3", *self.GRID,
                      "--out", str(out)]) == EXIT_NUMERICAL
@@ -854,12 +851,12 @@ class TestExitCodes:
 
     def test_bad_sample_is_invariant_violation(self, monkeypatch, tmp_path, capsys):
         # a propagator fault that leaves one sample outside the state space
-        def faulty_evolve(*args):
-            times, states = evolve_xstate(*args)
+        def faulty_propagate(*args):
+            states = propagate(*args)
             states[7, 1] = 1.5
-            return times, states
+            return states
 
-        monkeypatch.setattr(wgqed.cli, "evolve_xstate", faulty_evolve)
+        monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
         out = tmp_path / "t.csv"
         out.write_text("left over from an earlier run\n")
         code = main(self.EVOLVE + ["--t-max", "0.5", "--sample-dt", "0.01",
@@ -877,24 +874,6 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_INVARIANT
         assert capsys.readouterr().err.startswith("invariant violation: final state: trace ")
         assert not out.exists()
-
-
-class TestCheckTrajectoryInvariants:
-    def test_names_the_time_of_the_bad_row(self):
-        times = np.linspace(0.0, 0.9, 10)
-        states = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (10, 1))
-        check_trajectory_invariants(times, states)
-        states[6, :4] = [0.3, 1.2, -0.5, 0.0]  # unit trace, b and c out of range
-        with pytest.raises(InvariantViolation,
-                           match=r"^sample at t = 0\.6 us: population b=1\.2 outside \[0, 1\]$"):
-            check_trajectory_invariants(times, states)
-
-    def test_names_the_time_of_the_bad_row_of_a_stack(self):
-        times = np.linspace(0.0, 0.9, 10)
-        states = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (10, 3, 1))
-        states[6, 2, :4] = [0.3, 1.2, -0.5, 0.0]  # flat row 20, past the last sample
-        with pytest.raises(InvariantViolation, match=r"^sample at t = 0\.6 us: population b"):
-            check_trajectory_invariants(times, states)
 
 
 def test_evolve_samples_follow_the_header(tmp_path):

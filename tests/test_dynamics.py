@@ -20,6 +20,7 @@ from wgqed.cli import main as cli_main
 from wgqed.dynamics import (
     MAX_SAMPLES,
     IntegrationError,
+    InvariantViolation,
     evolve_full,
     evolve_xstate,
     off_x_leakage,
@@ -300,6 +301,29 @@ class TestEvolution:
         with pytest.raises(ValueError, match="inner block"):
             evolve_xstate(x0s + [x_vector(0.25, 0.25, 0.25, 0.25, z=0.5)], r, p, 0.5, 0.01)
 
+    @staticmethod
+    def spoiled_message(monkeypatch, x0, row) -> str:
+        """What evolve_xstate raises when a propagator fault spoils one row of its samples."""
+        def faulty_propagate(*args):
+            states = propagate(*args)
+            states[row][:4] = [0.3, 1.2, -0.5, 0.0]  # unit trace, b and c out of range
+            return states
+
+        monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
+        p = params(2.0)
+        with pytest.raises(InvariantViolation) as got:
+            evolve_xstate(x0, derive_rates(p), p, 0.9, 0.1)
+        return str(got.value)
+
+    def test_names_the_time_of_the_bad_row(self, monkeypatch):
+        assert self.spoiled_message(monkeypatch, x_vector(0.4, 0.3, 0.2, 0.1), 6) == (
+            "sample at t = 0.6 us: population b=1.2 outside [0, 1]")
+
+    def test_names_the_time_of_the_bad_row_of_a_stack(self, monkeypatch):
+        x0s = np.tile(x_vector(0.4, 0.3, 0.2, 0.1), (3, 1))
+        assert self.spoiled_message(monkeypatch, x0s, (6, 2)) == (  # flat row 20, past sample 9
+            "sample at t = 0.6 us: population b=1.2 outside [0, 1]")
+
     def test_rejects_bad_time_grid(self):
         p = params(2.0)
         r = derive_rates(p)
@@ -334,6 +358,8 @@ class TestSampleTimes:
     @given(st.floats(1e-6, 1e6), st.integers(1, 5000))
     def test_one_whole_step_rule_for_times_and_ranges(self, t_max, n):
         self.assert_whole_steps(t_max, t_max / n, n)
+        # past t_max by under 1e-9 of a step: sample_times(0.7, 0.05)[-1] is 0.7000000000000001
+        assert sample_times(t_max, t_max / n)[-1] - t_max < 1e-9 * (t_max / n)
 
     def test_one_whole_step_rule_absorbs_round_off(self):
         # 0.7 / 0.05 and (1.0 - 0.3) / 0.05 are both 13.999999999999998: fourteen steps

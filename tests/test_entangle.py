@@ -1,15 +1,18 @@
 """Unit tests for concurrence formulas and sudden-death detection."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wgqed.dynamics
 import wgqed.entangle
-from wgqed.dynamics import evolve_xstate, x_matrix, xstate_basis
+from wgqed.dynamics import InvariantViolation, evolve_xstate, propagate, x_matrix, xstate_basis
 from wgqed.entangle import (
     DEAD_EPS,
     DEATH_HOLD,
@@ -193,8 +196,12 @@ class TestDetectEvents:
         assert not rep.death_times and not rep.revival_times
 
     def test_requires_two_samples(self):
-        with pytest.raises(ValueError, match="2 samples"):
-            detect_events(np.array([0.0]), np.array([0.8]))
+        # and one concurrence per time: 8 samples over 20 times read events off the wrong grid
+        for n_t, c in ((1, [0.8]), (20, [0.5, 0, 0, 0, 0, 0, 0, 0.3]), (5, [0.5] * 9),
+                       (20, np.zeros((8, 2)))):
+            with pytest.raises(ValueError,
+                               match=f"2 samples, .* got {n_t} times and {len(c)} concurrences$"):
+                detect_events(np.linspace(0.0, 1.0, n_t), np.array(c))
 
     def test_trajectory_concurrences_shape(self):
         cs = trajectory_concurrences(np.tile(werner_vector(0.9), (11, 1)))
@@ -301,8 +308,9 @@ class TestEsdThreshold:
         assert 1.0 / 3.0 <= thr <= 1.0
 
     def test_validates_inputs(self):
-        with pytest.raises(ValueError, match="tol"):
-            esd_threshold(2.0, PARAMS, "werner", tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                esd_threshold(2.0, PARAMS, "werner", tol=tol)
         with pytest.raises(ValueError, match="state family"):
             esd_threshold(2.0, PARAMS, "ghz")
         with pytest.raises(ValueError, match="state family"):
@@ -365,6 +373,21 @@ class TestEsdThreshold:
         assert len(calls) == 1
         assert np.array_equal(calls[0], [pw_vector(1.0 / 3.0), pw_vector(1.0)])
 
+    def test_refuses_a_spoiled_bracket_sample(self, monkeypatch):
+        # every sample death_set reads is certified: a propagator fault at f = 1, halfway
+        def faulty_propagate(*args):
+            states = propagate(*args)
+            states[750, 1, 1] += 0.5
+            return states
+
+        monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
+        r = derive_rates(PARAMS)
+        t = 750 * (6.0 / min(r.gamma_a, r.gamma_b) / 1500)
+        for call in (death_set, esd_threshold):
+            with pytest.raises(InvariantViolation,
+                               match=f"^sample at t = {t:.6g} us: populations sum to "):
+                call(2.0, PARAMS, "werner")
+
     @pytest.mark.parametrize("ratio", [1.9, 2.11])
     def test_non_monotone_flags_match_the_oracle(self, ratio):
         # inside each interval f dies, between them and above the last it does not
@@ -398,3 +421,38 @@ class TestEsdThreshold:
                     esd_threshold(2.0, PARAMS, "werner", tol=tol)
             else:
                 assert esd_threshold(2.0, PARAMS, "werner", tol=tol) == expected
+
+
+#: C0*, the largest initial concurrence that still dies suddenly, (Werner, pseudo-Werner) by
+#: lambda/x2: the README's family comparison; at 1.905 the Werner death set is two intervals
+FAMILY_C0_STAR = {1.2: (0.133686, 0.754032), 1.205: (0.165063, 0.852151),
+                  1.3: (0.984505, 0.755742), 1.5: (0.897889, 0.296878),
+                  1.905: (0.999953, 0.115326), 2.0: (0.426415, 0.486137)}
+
+
+def c0_star(spans: list, family: str) -> float:
+    """The concurrence at the last stop of a death set: 2f - 1 for Werner states."""
+    stop = spans[-1][1]
+    return 2.0 * stop - 1.0 if family == "werner" else pw_concurrence_closed(stop)
+
+
+class TestFamilyComparison:
+    def test_c0_star_table(self):
+        for ratio, want in FAMILY_C0_STAR.items():
+            spans = {family: death_set(ratio, PARAMS, family) for family in ("werner", "pw")}
+            got = [c0_star(spans[family], family) for family in ("werner", "pw")]
+            assert got == pytest.approx(want, abs=1e-6), ratio
+            assert len(spans["werner"]) == (2 if ratio == 1.905 else 1)
+
+    def test_c0_star_over_the_reference(self):
+        ref = json.loads(Path(__file__).with_name("death_set_reference.json").read_text())
+        assert ref["columns"] == ["lambda_ratio", "werner", "pw"]
+        ratios = [row[0] for row in ref["rows"]]
+        werner, pw = (np.array([c0_star(row[k], family) for row in ref["rows"]])
+                      for k, family in ((1, "werner"), (2, "pw")))
+        assert (len(ratios), min(ratios), max(ratios)) == (397, 1.05, 3.0)
+        assert (np.sum(pw < werner), np.sum(werner < pw)) == (308, 89)  # no ties
+        assert sum(len(row[1]) == 2 for row in ref["rows"]) == 7
+        gap = pw - werner  # > 0 where Werner's is lower
+        assert ratios[np.argmax(gap)] == 1.205 and gap.max() == pytest.approx(0.687, abs=5e-4)
+        assert ratios[np.argmin(gap)] == 1.905 and gap.min() == pytest.approx(-0.885, abs=5e-4)
