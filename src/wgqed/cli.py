@@ -210,16 +210,6 @@ def cell_inputs(args, lambda_ratio: float) -> tuple:
     return derive_rates(p), p, t_max, sample_dt
 
 
-def checked_events(times: np.ndarray, states: np.ndarray):
-    """(concurrence, events per state) of a trajectory, its samples certified by evolve_xstate.
-
-    One state, (n_t, 8), gives (n_t,) concurrences and one report; a stack,
-    (n_t, m, 8), gives (n_t, m) and m reports.
-    """
-    c = trajectory_concurrences(states)
-    return c, detect_events(times, c.reshape(len(c), -1))
-
-
 def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
     """Per x0 (row of the stack x0s), the events of its trajectory at lambda_ratio, or the error.
 
@@ -233,7 +223,8 @@ def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
     for k in range(0, len(x0s), batch):
         cells = x0s[k:k + batch]
         try:
-            out += checked_events(*evolve_xstate(cells, *inputs))[1]
+            times, states = evolve_xstate(cells, *inputs)
+            out += detect_events(times, trajectory_concurrences(states))
         except (IntegrationError, InvariantViolation) as exc:
             out += [exc] if len(cells) == 1 else [
                 rep for x0 in cells for rep in scan_column(args, x0[None], lambda_ratio)]
@@ -243,7 +234,8 @@ def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
 def cmd_evolve(args) -> int:
     r, p, t_max, sample_dt = cell_inputs(args, args.lambda_ratio)
     times, states = evolve_xstate(FAMILIES[args.state](args.f), r, p, t_max, sample_dt)
-    c, (report,) = checked_events(times, states)
+    c = trajectory_concurrences(states)
+    report = detect_events(times, c)
     table = (times, c, *states.T)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
@@ -303,8 +295,6 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    if not math.isfinite(args.pulse + args.wait):  # the last sample time
-        raise ValueError(f"--pulse + --wait must be finite, got {args.pulse} + {args.wait}")
     cfg = RabiConfig(omega=mhz(args.omega), gamma_nr=mhz(args.gamma_nr),
                      pulse_duration=args.pulse, wait_duration=args.wait,
                      sample_dt=args.sample_dt)
@@ -324,9 +314,9 @@ def cmd_cpw(args) -> int:
     derived = cpw_derive(geom)
     report = {"Z0_ohm": derived.z0, "eps_eff": derived.eps_eff, "v_ph_m_per_s": derived.v_ph}
     if args.freq is not None:
-        lam = wavelength(2 * np.pi * args.freq * 1e9, derived.v_ph)
-        report["lambda_mm"] = lam * 1e3
-        report["lambda_ratio"] = lambda_ratio_for_freq(args.freq, geom, args.x2)
+        ratio = lambda_ratio_for_freq(args.freq, geom, args.x2)  # names --freq when refused
+        report["lambda_mm"] = wavelength(2 * np.pi * args.freq * 1e9, derived.v_ph) * 1e3
+        report["lambda_ratio"] = ratio
     emit(args, report, list(report), [list(report.values())])
     return EXIT_OK
 

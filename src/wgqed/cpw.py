@@ -71,10 +71,11 @@ def cpw_derive(g: CpwGeometry) -> CpwDerived:
 
 
 def wavelength(omega: float, v_ph: float) -> float:
-    """Guided wavelength in meters for angular frequency omega in rad/s."""
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    return 2.0 * np.pi * v_ph / omega
+    """Guided wavelength in meters, finite and > 0, for angular frequency omega > 0 in rad/s."""
+    lam = 2.0 * np.pi * float(v_ph) / float(omega) if omega > 0 else np.nan  # overflow: no warning
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"no finite wavelength > 0 from omega = {omega} and v_ph = {v_ph}")
+    return lam
 
 
 def lambda_ratio_for_freq(freq_ghz: float, geom: CpwGeometry, x2_mm: float = 18.4) -> float:
@@ -82,9 +83,11 @@ def lambda_ratio_for_freq(freq_ghz: float, geom: CpwGeometry, x2_mm: float = 18.
     if freq_ghz <= 0 or x2_mm <= 0:
         raise ValueError("freq_ghz and x2_mm must be > 0")
     derived = cpw_derive(geom)
-    lam = wavelength(2.0 * np.pi * freq_ghz * 1e9, derived.v_ph)
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"freq_ghz must give a finite, nonzero wavelength, got {freq_ghz}")
+    try:
+        lam = wavelength(2.0 * np.pi * freq_ghz * 1e9, derived.v_ph)
+    except ValueError:
+        raise ValueError(
+            f"freq_ghz must give a finite, nonzero wavelength, got {freq_ghz}") from None
     x2_m = x2_mm * 1e-3  # 0 once x2_mm underflows
     if not (x2_m > 0 and 0.0 < lam / x2_m < np.inf):
         raise ValueError(f"x2_mm must give a finite, nonzero lambda / x2, got {x2_mm}")

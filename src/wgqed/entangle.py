@@ -145,7 +145,10 @@ def death_set(lambda_ratio: float, p: WaveguideParams, family: str) -> list[tupl
     make, lo, hi = FAMILIES[family], F_LO[family], 1.0
     pr = replace(p, lambda_ratio=lambda_ratio)
     r = derive_rates(pr)
-    t_max = 6.0 / min(r.gamma_a, r.gamma_b)
+    rate = float(min(r.gamma_a, r.gamma_b))  # 0 at a node when gamma_nr = 0
+    if not (rate > 0 and (t_max := 6.0 / rate) < np.inf):  # a float overflow does not warn
+        raise ValueError(f"gamma_a = {r.gamma_a:.6g}, gamma_b = {r.gamma_b:.6g} at lambda_ratio"
+                         f" = {lambda_ratio} give no finite window 6 / min(gamma_a, gamma_b)")
     _, ends = evolve_xstate(make(np.array([lo, hi])), r, pr, t_max, t_max / 1500)
     # a, d, Re z, Im z (FG_PAIRING[0]) per sample, at lo and hi; x = u + (f - lo) v
     x = np.moveaxis(ends, -1, 0)[list(FG_PAIRING[0])]

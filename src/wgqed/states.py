@@ -160,6 +160,9 @@ class RabiConfig:
     def __post_init__(self):
         check_fields(self, ("omega", "gamma_nr", "pulse_duration", "wait_duration", "sample_dt"),
                      ("omega", "gamma_nr", "pulse_duration", "wait_duration"), ("sample_dt",))
+        if not np.isfinite(float(self.pulse_duration) + float(self.wait_duration)):  # = times[-1]
+            raise ValueError("pulse_duration + wait_duration must be finite, got "
+                             f"{self.pulse_duration} + {self.wait_duration}")
 
 
 def mixed_qubit(cfg: RabiConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -175,28 +178,23 @@ def mixed_qubit(cfg: RabiConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
         warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
                       "reach the 1/2-1/2 mixture", stacklevel=2)
-    segments = []
-    if cfg.pulse_duration > 0:
-        segments.append((cfg.omega / 2 * SIGMA_X, cfg.pulse_duration))
-    if cfg.wait_duration > 0:
-        segments.append((np.zeros((2, 2), dtype=complex), cfg.wait_duration))
-    steps = [max(grid_steps(duration, cfg.sample_dt), 2) for _, duration in segments]
-
-    times_all = [np.zeros(1)]
+    segments = [(h, duration, max(grid_steps(duration, cfg.sample_dt), 2))  # all capped first
+                for h, duration in ((cfg.omega / 2 * SIGMA_X, cfg.pulse_duration),
+                                    (np.zeros((2, 2), dtype=complex), cfg.wait_duration))
+                if duration > 0]
+    times = [np.zeros(1)]
     samples = [np.array([[1, 0, 0, 0]], dtype=complex)]  # ground, vectorized
-    t_offset = 0.0
-    for (h, duration), n in zip(segments, steps):
+    for h, duration, n in segments:
         gen = lindblad_generator(h, [SIGMA_MINUS], [[cfg.gamma_nr]])
         samples.append(propagate(gen, samples[-1][-1], duration / n, n)[1:])
-        times_all.append(t_offset + np.linspace(0.0, duration, n + 1)[1:])
-        t_offset += duration
+        times.append(times[-1][-1] + np.linspace(0.0, duration, n + 1)[1:])
 
     states = np.concatenate(samples).reshape(-1, 2, 2)
     try:
         check_density_matrix(states[-1])
     except ValueError as exc:
         raise InvariantViolation(f"final state: {exc}") from None
-    return np.concatenate(times_all), states
+    return np.concatenate(times), states
 
 
 def wait_time_for_f(f: float, gamma_nr: float) -> float:

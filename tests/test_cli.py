@@ -763,7 +763,7 @@ class TestExitCodes:
         assert main(["mix", "--pulse", "1e308", "--wait", "1e308", "--sample-dt", "1e308",
                      "--omega", "0", "--gamma-nr", "0", "--format", "json",
                      "--out", str(out)]) == EXIT_USAGE
-        assert "--pulse + --wait must be finite" in capsys.readouterr().err
+        assert "pulse_duration + wait_duration must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, reason", [

@@ -111,8 +111,13 @@ class TestWavelength:
         assert wavelength(2.0, 1.0) == pytest.approx(2 * wavelength(4.0, 1.0))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            wavelength(0.0, 1.0)
+        # 2 pi / 1e-320 overflows, also as numpy scalars, which would warn: every refused
+        # wavelength is one that is not finite and > 0
+        for omega, v_ph in [(0.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
+                            (1.0, float("nan")), (1.0, -1.0), (1e-320, 1.0),
+                            (np.float64(1e-320), np.float64(1.0))]:
+            with pytest.raises(ValueError, match=f"omega = {omega} and v_ph = {v_ph}"):
+                wavelength(omega, v_ph)
 
 
 class TestLambdaRatio:

@@ -315,6 +315,10 @@ class TestEsdThreshold:
             esd_threshold(2.0, PARAMS, "ghz")
         with pytest.raises(ValueError, match="state family"):
             death_set(2.0, PARAMS, "ghz")
+        # both qubits at nodes of a lossless line never decay: no window, and no 1 / 0 warning
+        at_nodes = WaveguideParams(gamma=mhz(5.0), gamma_nr=0.0, lambda_ratio=2.0)
+        with pytest.raises(ValueError, match=r"gamma_a = 0, gamma_b = 0 at lambda_ratio = 2\.0"):
+            esd_threshold(2.0, at_nodes, "werner")
 
     @pytest.mark.parametrize("ratio, family, bisected", [
         (1.2, "werner", 0.56787109375),

@@ -226,7 +226,8 @@ class TestMixedQubit:
                                                wait_duration=0.3, sample_dt=0.01))
         assert times.shape == (131,) and states.shape == (131, 2, 2)
         assert np.all(np.diff(times) > 0)
-        assert times[-1] == pytest.approx(1.3)
+        # the wait's samples continue from the pulse's last one, which ends it exactly
+        assert times[100] == 1.0 and times[-1] == 1.0 + 0.3
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="must be >= 0"):
@@ -239,6 +240,11 @@ class TestMixedQubit:
     def test_config_rejects_non_finite(self, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RabiConfig(**{field: float("nan")})
+
+    def test_config_rejects_an_infinite_last_sample_time(self):
+        # each duration is finite, their sum overflows: no run may end its grid at inf
+        with pytest.raises(ValueError, match=r"pulse_duration \+ wait_duration must be finite"):
+            RabiConfig(pulse_duration=1e308, wait_duration=1e308)
 
     def test_sample_cap(self):
         # the longest wait wait_time_for_f allows fits the cap at the default
