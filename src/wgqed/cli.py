@@ -97,20 +97,21 @@ def json_blocks(payload: dict):
     yield "\n  ]\n}\n" if len(table[0]) else "]\n}\n"
 
 
-def emit(args, fields: dict, columns: list[str] | None = None, rows=()):
+def emit(args, fields: dict):
     """Write a result over --out (checked by :func:`check_out`) from its start, or to stdout.
 
-    JSON, for --format json or a result with no table, is {"generated_by", "config",
-    **fields}, config holding every setting but --out and --format.  CSV is the columns,
-    then one line per row.  A None-free table is a tuple of column arrays, also a field.
+    JSON is {"generated_by", "config", **fields}, config holding every setting but --out and
+    --format.  CSV is fields["columns"], then a line per row of the table fields[max(fields)]
+    (a None-free one is a tuple of column arrays), or else one row of the fields.
     """
-    if columns is None or args.format == "json":
+    if args.format == "json":
         config = {k: v for k, v in settings(args).items() if k not in ("out", "format")}
         payload = {"generated_by": GENERATED_BY, "config": config, **fields}
         blocks = (json_blocks(payload) if any(isinstance(v, tuple) for v in fields.values())
                   else [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     else:
-        blocks = csv_blocks(columns, rows)
+        blocks = (csv_blocks(fields["columns"], fields[max(fields)]) if "columns" in fields
+                  else csv_blocks(list(fields), [list(fields.values())]))
     if args.out is None:
         sys.stdout.writelines(blocks)
         return
@@ -168,14 +169,8 @@ def with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 # --- subcommand implementations ------------------------------------------
 
-def make_params(args, lambda_ratio: float) -> WaveguideParams:
-    return WaveguideParams(
-        gamma=mhz(args.gamma),
-        gamma_nr=mhz(args.gamma_nr),
-        lambda_ratio=lambda_ratio,
-        delta_bare=mhz(getattr(args, "delta_bare", 0.0)),
-        g=mhz(getattr(args, "g", 0.0)),
-    )
+def make_params(args, lambda_ratio: float, **knobs) -> WaveguideParams:
+    return WaveguideParams(mhz(args.gamma), mhz(args.gamma_nr), lambda_ratio, **knobs)
 
 
 def cmd_rates(args) -> int:
@@ -185,7 +180,7 @@ def cmd_rates(args) -> int:
     p = make_params(args, float(ratios[0]))  # checks the flags; the grid ascends from ratios[0]
     r = vars(derive_rates(SimpleNamespace(**{**vars(p), "lambda_ratio": ratios})))  # in one call
     table = (ratios, r["phi"], *[v / TWO_PI for k, v in r.items() if k != "phi"])
-    emit(args, {"columns": columns, "rows": table}, columns, table)
+    emit(args, {"columns": columns, "rows": table})
     return EXIT_OK
 
 
@@ -198,15 +193,17 @@ def rates_dict(r) -> dict:
     return out
 
 
-def cell_inputs(args, lambda_ratio: float) -> tuple:
-    """(rates, params, t_max, sample_dt) of a trajectory at lambda_ratio, from the flags;
-    t_max defaults to 8/gamma and sample_dt to t_max/1000."""
-    p = make_params(args, lambda_ratio)
+def cell_inputs(args, lambda_ratio: float, **knobs) -> tuple:
+    """(rates, params, t_max, sample_dt) of a trajectory at lambda_ratio, from the flags and
+    any WaveguideParams knobs; t_max defaults to 8/gamma and sample_dt to t_max/1000."""
+    p = make_params(args, lambda_ratio, **knobs)
     if args.t_max is None and not (p.gamma > 0 and math.isfinite(8.0 / p.gamma)):
         raise ValueError(f"--gamma {args.gamma} sets no finite default time grid (8/gamma); "
                          "give --t-max")
     t_max = args.t_max if args.t_max is not None else 8.0 / p.gamma
     sample_dt = args.sample_dt if args.sample_dt is not None else t_max / 1000.0
+    if args.sample_dt is None and sample_dt == 0 < t_max:  # t_max/1000 underflows
+        raise ValueError(f"--t-max {t_max} sets no default step t_max/1000 > 0; give --sample-dt")
     return derive_rates(p), p, t_max, sample_dt
 
 
@@ -215,36 +212,35 @@ def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
 
     The states are propagated as stacks of at most MAX_SAMPLES // n_t states (at least 1), so a
     scan never holds more samples than one trajectory at the cap.  A stack that fails is redone
-    state by state, so each cell names its own failure.
+    state by state under the same inputs, so each cell names its own failure.
     """
     inputs = cell_inputs(args, lambda_ratio)
     batch = max(1, MAX_SAMPLES // len(sample_times(*inputs[2:])))
-    out = []
-    for k in range(0, len(x0s), batch):
-        cells = x0s[k:k + batch]
+
+    def reports(cells: np.ndarray) -> list:
         try:
             times, states = evolve_xstate(cells, *inputs)
-            out += detect_events(times, trajectory_concurrences(states))
+            return detect_events(times, trajectory_concurrences(states))
         except (IntegrationError, InvariantViolation) as exc:
-            out += [exc] if len(cells) == 1 else [
-                rep for x0 in cells for rep in scan_column(args, x0[None], lambda_ratio)]
-    return out
+            return [exc] if len(cells) == 1 else [rep for x0 in cells for rep in reports(x0[None])]
+
+    return [rep for k in range(0, len(x0s), batch) for rep in reports(x0s[k:k + batch])]
 
 
 def cmd_evolve(args) -> int:
-    r, p, t_max, sample_dt = cell_inputs(args, args.lambda_ratio)
-    times, states = evolve_xstate(FAMILIES[args.state](args.f), r, p, t_max, sample_dt)
+    inputs = cell_inputs(args, args.lambda_ratio, delta_bare=mhz(args.delta_bare), g=mhz(args.g))
+    times, states = evolve_xstate(FAMILIES[args.state](args.f), *inputs)
     c = trajectory_concurrences(states)
     report = detect_events(times, c)
     table = (times, c, *states.T)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
     emit(args, {
-        "rates": rates_dict(r),
+        "rates": rates_dict(inputs[0]),
         "esd": {"death_times_us": report.death_times, "revival_times_us": report.revival_times,
                 "final_concurrence": report.final_concurrence},
         "columns": columns,
         "samples": table,
-    }, columns, table)
+    })
     return EXIT_OK
 
 
@@ -271,7 +267,7 @@ def cmd_scan(args) -> int:
                          deaths[0] if deaths else None, revivals[0] if revivals else None,
                          rep.final_concurrence])
     columns = "f,lambda_ratio,died,revived,t_death,t_revival,C_final".split(",")
-    emit(args, {"columns": columns, "rows": rows}, columns, rows)
+    emit(args, {"columns": columns, "rows": rows})
     for f, lr, msg in failures:
         print(f"scan cell f={f} lambda_ratio={lr} failed: {msg}", file=sys.stderr)
     return EXIT_NUMERICAL if failures else EXIT_OK
@@ -303,13 +299,15 @@ def cmd_mix(args) -> int:
     f = float(states[-1, 1, 1].real if args.flip else states[-1, 0, 0].real)
     columns = ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
     table = (times, states[:, 0, 0].real, states[:, 1, 1].real, np.abs(states[:, 1, 0]))
-    emit(args, {"f_achieved": f, "columns": columns, "samples": table}, columns, table)
+    emit(args, {"f_achieved": f, "columns": columns, "samples": table})
     if args.format == "csv" and args.out:  # stdout stays one CSV table
         print(f"f_achieved = {f:.12g}")
     return EXIT_OK
 
 
 def cmd_cpw(args) -> int:
+    if not args.x2 > 0:  # read only with --freq, but refused alike
+        raise ValueError(f"--x2 must be > 0, got {args.x2}")
     geom = CpwGeometry(center_width=args.width, gap_width=args.gap, eps_r=args.eps_r)
     derived = cpw_derive(geom)
     report = {"Z0_ohm": derived.z0, "eps_eff": derived.eps_eff, "v_ph_m_per_s": derived.v_ph}
@@ -317,7 +315,7 @@ def cmd_cpw(args) -> int:
         ratio = lambda_ratio_for_freq(args.freq, geom, args.x2)  # names --freq when refused
         report["lambda_mm"] = wavelength(2 * np.pi * args.freq * 1e9, derived.v_ph) * 1e3
         report["lambda_ratio"] = ratio
-    emit(args, report, list(report), [list(report.values())])
+    emit(args, report)
     return EXIT_OK
 
 
@@ -332,6 +330,8 @@ SHARED_FLAGS = {
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--config": dict(default=None, help="key-value configuration file"),
+    "--state": dict(choices=tuple(FAMILIES), default="werner"),
+    "--f": dict(type=float, required=True),
 }
 OUTPUT_FLAGS = ("--out", "--format", "--config")
 
@@ -357,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rates)
 
     sp = new("evolve", help="propagate one trajectory")
-    sp.add_argument("--state", choices=tuple(FAMILIES), default="werner")
-    sp.add_argument("--f", type=float, required=True)
+    add_shared(sp, "--state", "--f")
     sp.add_argument("--lambda-ratio", type=float, required=True)
     sp.add_argument("--delta-bare", type=float, default=0.0, help="bare detuning, MHz")
     sp.add_argument("--g", type=float, default=0.0, help="direct exchange coupling, MHz")
@@ -366,19 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_evolve)
 
     sp = new("scan", help="ESD/revival grid over f and lambda-ratio")
-    sp.add_argument("--state", choices=tuple(FAMILIES), default="werner")
+    add_shared(sp, "--state")
     sp.add_argument("--f-range", default="", help="'start:stop:step' (empty for no rows)")
     sp.add_argument("--lambda-ratios", default="", help="comma-separated list")
     add_shared(sp, "--gamma", "--gamma-nr", "--t-max", "--sample-dt", *OUTPUT_FLAGS)
     sp.set_defaults(func=cmd_scan)
 
     sp = new("prepare", help="three-qubit pseudo-Werner preparation (JSON)")
-    sp.add_argument("--f", type=float, required=True)
+    add_shared(sp, "--f")
     sp.add_argument("--dissipative", action="store_true")
     sp.add_argument("--g", type=float, default=10.0, help="a-b exchange strength, MHz")
     sp.add_argument("--g-bc", type=float, default=10.0, help="b-c exchange strength, MHz")
     add_shared(sp, "--gamma-nr", "--out", "--config")
-    sp.set_defaults(func=cmd_prepare)
+    sp.set_defaults(func=cmd_prepare, format="json")
 
     sp = new("mix", help="single-qubit mixed-state generation")
     sp.add_argument("--omega", type=float, default=30.0, help="Rabi frequency, MHz")

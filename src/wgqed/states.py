@@ -84,10 +84,9 @@ class PrepConfig:
         check_fields(self, ("g_strength", "g_bc_strength", "gamma_nr"), ("gamma_nr",))
         for name, angle in zip(("g_strength", "g_bc_strength"), GATE_ANGLES):
             g = getattr(self, name)
-            # exact mode ignores the strengths; (pi/4)/1e-320 overflows
-            if self.with_dissipation and (g <= 0 or np.isinf(angle / g)):
-                raise ValueError("dissipative mode needs positive coupling strengths with "
-                                 f"finite gate times, got {name} = {g}")
+            if g <= 0 or np.isinf(angle / g):  # in either mode; (pi/4)/1e-320 overflows
+                raise ValueError("coupling strengths must be positive with finite gate times, "
+                                 f"got {name} = {g}")
 
 
 @dataclass
@@ -175,13 +174,13 @@ def mixed_qubit(cfg: RabiConfig) -> tuple[np.ndarray, np.ndarray]:
     caps the pulse's grid and the wait's grid each (grid_steps), so n stays below twice it.
     Raises InvariantViolation when the final state is not a density matrix to STRUCT_TOL.
     """
-    if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
-        warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
-                      "reach the 1/2-1/2 mixture", stacklevel=2)
     segments = [(h, duration, max(grid_steps(duration, cfg.sample_dt), 2))  # all capped first
                 for h, duration in ((cfg.omega / 2 * SIGMA_X, cfg.pulse_duration),
                                     (np.zeros((2, 2), dtype=complex), cfg.wait_duration))
                 if duration > 0]
+    if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
+        warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
+                      "reach the 1/2-1/2 mixture", stacklevel=2)
     times = [np.zeros(1)]
     samples = [np.array([[1, 0, 0, 0]], dtype=complex)]  # ground, vectorized
     for h, duration, n in segments:

@@ -220,9 +220,9 @@ class TestScan:
             f"scan cell f={f} lambda_ratio={lr} failed: non-finite state at t = 0.5 us"
             for f in ("0.8", "0.9") for lr in ("1.5", "2.0")]
 
-    def test_bad_cell_in_a_stack_is_marked_alone(self, monkeypatch, tmp_path, capsys):
-        # a fault that spoils one state of a stack: the stack is redone cell by
-        # cell, so only that cell is marked, under its own message
+    @staticmethod
+    def spoil_second_cell(monkeypatch):
+        """A propagator fault that spoils the state of f = 0.8 wherever a stack holds it."""
         spoiled = werner_vector(parse_range("0.7:0.9:0.1")[1])
 
         def faulty_propagate(gen, y0, *args):
@@ -230,8 +230,13 @@ class TestScan:
             states[7, [np.array_equal(x, spoiled) for x in y0], 1] = 1.5
             return states
 
-        good = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3")
         monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
+
+    def test_bad_cell_in_a_stack_is_marked_alone(self, monkeypatch, tmp_path, capsys):
+        # a fault that spoils one state of a stack: the stack is redone cell by
+        # cell, so only that cell is marked, under its own message
+        good = self.scan_rows(tmp_path, "0.7:0.9:0.1", "1.3")
+        self.spoil_second_cell(monkeypatch)
         out = tmp_path / "scan.csv"
         assert main(["scan", "--f-range", "0.7:0.9:0.1", "--lambda-ratios", "1.3", *self.GRID,
                      "--out", str(out)]) == EXIT_NUMERICAL
@@ -240,6 +245,16 @@ class TestScan:
         assert len(err) == 1
         assert err[0].startswith("scan cell f=0.7999999999999999 lambda_ratio=1.3 failed: "
                                  "sample at t = 0.007 us: populations sum to")
+
+    def test_failed_stack_derives_its_inputs_once(self, monkeypatch):
+        # the cells of a failed stack are redone under their ratio's inputs, not re-derived
+        derived = []
+        monkeypatch.setattr(wgqed.cli, "derive_rates",
+                            lambda p: derived.append(p.lambda_ratio) or derive_rates(p))
+        self.spoil_second_cell(monkeypatch)
+        assert main(["scan", "--f-range", "0.7:0.9:0.1", "--lambda-ratios", "1.3,1.5",
+                     *self.GRID, "--out", os.devnull]) == EXIT_NUMERICAL
+        assert derived == [1.3, 1.5]
 
     def test_one_propagation_per_ratio(self, monkeypatch):
         calls = count_calls(monkeypatch, wgqed.cli)
@@ -739,6 +754,10 @@ class TestExitCodes:
         (["cpw", "--width", "20", "--gap", "8", "--freq", "7", "--x2", "1e-320"], "x2"),
         # the gate time (pi/4)/g overflows
         (["prepare", "--f", "0.8", "--dissipative", "--g", "1e-320"], "g_strength"),
+        # inputs a run ignores are checked too: exact mode's gate strengths, --x2 with no --freq
+        (["prepare", "--f", "0.5", "--g", "-1"], "coupling strengths"),
+        (["prepare", "--f", "0.5", "--g", "0"], "coupling strengths"),
+        (["cpw", "--width", "20", "--gap", "8", "--x2", "-1"], "--x2"),
     ])
     def test_bad_input_is_usage_error(self, argv, field, capsys):
         assert main(argv) == EXIT_USAGE
@@ -756,6 +775,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--gamma" in err and "--t-max" in err
         assert main(argv + ["--t-max", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        EVOLVE + ["--t-max", "5e-324"],
+        ["scan", "--f-range", "0.9", "--lambda-ratios", "1.5", "--t-max", "1e-322"],
+    ])
+    def test_underflowing_default_sample_dt_needs_sample_dt(self, argv, tmp_path, capsys):
+        # the default --sample-dt t_max/1000 underflows to 0, a value the user never gave
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--t-max" in err and "--sample-dt" in err and "got 0.0" not in err
+        assert main(argv + ["--sample-dt", argv[-1], "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_infinite_mix_sample_time_is_usage_error(self, tmp_path, capsys):
         # every flag finite, but the last sample time pulse + wait overflows

@@ -21,10 +21,15 @@ def test_python_example_runs(capsys):
     assert names["rho"].shape == (len(names["times"]), 4, 4)
 
 
-def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+def cli_examples() -> list[list[str]]:
+    """The argv of each `wgqed` line in the README's sh blocks."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     lines = "".join(blocks).replace("\\\n", " ").splitlines()  # continuation lines joined
-    commands = [shlex.split(line)[1:] for line in lines if line.startswith("wgqed ")]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("wgqed ")]
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    commands = cli_examples()
     assert [argv[0] for argv in commands] == ["rates", "evolve", "scan", "prepare", "mix", "cpw"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:

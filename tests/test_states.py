@@ -163,6 +163,9 @@ class TestPreparation:
             PrepConfig(f=1.5)
         with pytest.raises(ValueError, match="coupling strengths"):
             PrepConfig(f=0.5, with_dissipation=True, g_strength=0.0)
+        # exact mode ignores the strengths, but checks them as it checks gamma_nr
+        with pytest.raises(ValueError, match="coupling strengths"):
+            PrepConfig(f=0.5, g_bc_strength=-1.0)
 
     @pytest.mark.parametrize("f", [-1e-17, 1.0000000000000002])
     def test_config_admits_the_family_range(self, f):
@@ -256,6 +259,11 @@ class TestMixedQubit:
         assert 1 + sum(steps) == 1_003_501 > MAX_SAMPLES
         with pytest.raises(ValueError, match=f"limit is {MAX_SAMPLES}"):
             mixed_qubit(RabiConfig(wait_duration=10 * WAIT_CAP_US))
+
+    def test_sample_cap_comes_before_the_short_pulse_warning(self):
+        # a 1 us pulse is short of 3/gamma_nr, but its 1e7-sample grid is refused: no warning
+        with pytest.raises(ValueError, match=f"limit is {MAX_SAMPLES}"):
+            mixed_qubit(RabiConfig(pulse_duration=1.0, sample_dt=1e-7))
 
 
 class TestWaitTime:
