@@ -126,35 +126,39 @@ def emit(args, fields: dict):
 
 # --- configuration files -------------------------------------------------
 
-def with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def with_config(argv: list[str]) -> list[str]:
     """argv with the keys of its --config file as flags right after the subcommand name.
 
-    The user's own flags come after them, so they win in either spelling.
+    The user's own flags come after them, so they win in either spelling.  Each key is a flag
+    of the subcommand in COMMANDS, set once in the whole file.
     """
     if not any(a == "--config" or a.startswith("--config=") for a in argv):
         return argv  # the only tokens the pre-parser acts on
     pre = argparse.ArgumentParser(prog="wgqed", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
-    commands = next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    at = next((i for i, a in enumerate(argv) if a in commands), None)
+    at = next((i for i, a in enumerate(argv) if a in COMMANDS), None)
     if path is None or at is None:
         return argv
-    cp = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
+    specs = command_flags(argv[at])
+    # a '%' in a value is literal, and [DEFAULT] is a section like any other
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         if not cp.read(path):
             raise ValueError(f"cannot read config file {path}")
-    except configparser.Error as exc:
-        raise ValueError(f"malformed config file {path}: {exc}") from None
-    flags = []
+    except configparser.Error as exc:  # on one line, however many the parser's message has
+        msg = " ".join(str(exc).replace("\t", "").splitlines())
+        raise ValueError(f"malformed config file {path}: {msg}") from None
+    flags, seen = [], {}
     for section in cp.sections():
         for key, value in cp[section].items():
             flag, name = "--" + key.replace("_", "-"), key.replace("-", "_")
-            action = commands[argv[at]]._option_string_actions.get(flag)
-            if action is None or action.dest in ("help", "config"):
+            if flag == "--config" or flag not in specs:
                 raise ValueError(f"unknown config key {name!r} in section [{section}]")
-            if action.nargs != 0:
+            if flag in seen:
+                raise ValueError(f"config file sets {flag} in [{seen[flag]}] and in [{section}]")
+            seen[flag] = section
+            if specs[flag].get("action") != "store_true":
                 flags.append(f"{flag}={value}")
                 continue
             try:  # store_true: the bare flag when true
@@ -321,7 +325,29 @@ def cmd_cpw(args) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
-SHARED_FLAGS = {
+#: every flag's argparse spec, once; a "<subcommand> <flag>" entry is its meaning there alone
+FLAGS = {
+    "--range": dict(required=True, help="lambda-ratio grid 'start:stop:step' or single value"),
+    "--state": dict(choices=tuple(FAMILIES), default="werner"),
+    "--f": dict(type=float, required=True),
+    "--lambda-ratio": dict(type=float, required=True),
+    "--delta-bare": dict(type=float, default=0.0, help="bare detuning, MHz"),
+    "--g": dict(type=float, default=0.0, help="direct exchange coupling, MHz"),
+    "--f-range": dict(default="", help="'start:stop:step' (empty for no rows)"),
+    "--lambda-ratios": dict(default="", help="comma-separated list"),
+    "--dissipative": dict(action="store_true"),
+    "prepare --g": dict(type=float, default=10.0, help="a-b exchange strength, MHz"),
+    "--g-bc": dict(type=float, default=10.0, help="b-c exchange strength, MHz"),
+    "--omega": dict(type=float, default=30.0, help="Rabi frequency, MHz"),
+    "--pulse": dict(type=float, default=35.0, help="pulse duration, us"),
+    "--wait": dict(type=float, default=0.0, help="wait after pulse, us"),
+    "--flip": dict(action="store_true", help="final pi-pulse (maps f to 1-f)"),
+    "mix --sample-dt": dict(type=float, default=0.01, help="us (default 0.01)"),
+    "--width": dict(type=float, required=True, help="center conductor width, um"),
+    "--gap": dict(type=float, required=True, help="vacuum gap width, um"),
+    "--eps-r": dict(type=float, default=9.8),
+    "--freq": dict(type=float, default=None, help="qubit frequency, GHz"),
+    "--x2": dict(type=float, default=18.4, help="qubit separation, mm"),
     "--gamma": dict(type=float, default=5.0, help="qubit-waveguide coupling, MHz (default 5)"),
     "--gamma-nr": dict(type=float, default=0.03,
                        help="intrinsic relaxation rate, MHz (default 0.03)"),
@@ -330,15 +356,29 @@ SHARED_FLAGS = {
     "--out": dict(default=None, help="output path (default stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--config": dict(default=None, help="key-value configuration file"),
-    "--state": dict(choices=tuple(FAMILIES), default="werner"),
-    "--f": dict(type=float, required=True),
 }
-OUTPUT_FLAGS = ("--out", "--format", "--config")
+OUTPUT = "--out --format --config"
+TRAJECTORY = f"--gamma --gamma-nr --t-max --sample-dt {OUTPUT}"
+#: each subcommand's function, help and flags in --help order
+COMMANDS = {
+    "rates": (cmd_rates, "derived rates vs wavelength ratio",
+              f"--range --gamma --gamma-nr {OUTPUT}"),
+    "evolve": (cmd_evolve, "propagate one trajectory",
+               f"--state --f --lambda-ratio --delta-bare --g {TRAJECTORY}"),
+    "scan": (cmd_scan, "ESD/revival grid over f and lambda-ratio",
+             f"--state --f-range --lambda-ratios {TRAJECTORY}"),
+    "prepare": (cmd_prepare, "three-qubit pseudo-Werner preparation (JSON)",
+                "--f --dissipative --g --g-bc --gamma-nr --out --config"),
+    "mix": (cmd_mix, "single-qubit mixed-state generation",
+            f"--omega --pulse --wait --flip --sample-dt --gamma-nr {OUTPUT}"),
+    "cpw": (cmd_cpw, "coplanar waveguide design numbers",
+            f"--width --gap --eps-r --freq --x2 {OUTPUT}"),
+}
 
 
-def add_shared(sp, *flags: str):
-    for flag in flags:
-        sp.add_argument(flag, **SHARED_FLAGS[flag])
+def command_flags(command: str) -> dict:
+    """Each flag of command, in --help order, with its FLAGS spec there."""
+    return {f: FLAGS.get(f"{command} {f}") or FLAGS[f] for f in COMMANDS[command][2].split()}
 
 
 @functools.cache
@@ -348,55 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      allow_abbrev=False)
     parser.add_argument("--version", action="version", version=GENERATED_BY)
     sub = parser.add_subparsers(dest="command", required=True)
-    new = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    sp = new("rates", help="derived rates vs wavelength ratio")
-    sp.add_argument("--range", required=True,
-                    help="lambda-ratio grid 'start:stop:step' or single value")
-    add_shared(sp, "--gamma", "--gamma-nr", *OUTPUT_FLAGS)
-    sp.set_defaults(func=cmd_rates)
-
-    sp = new("evolve", help="propagate one trajectory")
-    add_shared(sp, "--state", "--f")
-    sp.add_argument("--lambda-ratio", type=float, required=True)
-    sp.add_argument("--delta-bare", type=float, default=0.0, help="bare detuning, MHz")
-    sp.add_argument("--g", type=float, default=0.0, help="direct exchange coupling, MHz")
-    add_shared(sp, "--gamma", "--gamma-nr", "--t-max", "--sample-dt", *OUTPUT_FLAGS)
-    sp.set_defaults(func=cmd_evolve)
-
-    sp = new("scan", help="ESD/revival grid over f and lambda-ratio")
-    add_shared(sp, "--state")
-    sp.add_argument("--f-range", default="", help="'start:stop:step' (empty for no rows)")
-    sp.add_argument("--lambda-ratios", default="", help="comma-separated list")
-    add_shared(sp, "--gamma", "--gamma-nr", "--t-max", "--sample-dt", *OUTPUT_FLAGS)
-    sp.set_defaults(func=cmd_scan)
-
-    sp = new("prepare", help="three-qubit pseudo-Werner preparation (JSON)")
-    add_shared(sp, "--f")
-    sp.add_argument("--dissipative", action="store_true")
-    sp.add_argument("--g", type=float, default=10.0, help="a-b exchange strength, MHz")
-    sp.add_argument("--g-bc", type=float, default=10.0, help="b-c exchange strength, MHz")
-    add_shared(sp, "--gamma-nr", "--out", "--config")
-    sp.set_defaults(func=cmd_prepare, format="json")
-
-    sp = new("mix", help="single-qubit mixed-state generation")
-    sp.add_argument("--omega", type=float, default=30.0, help="Rabi frequency, MHz")
-    sp.add_argument("--pulse", type=float, default=35.0, help="pulse duration, us")
-    sp.add_argument("--wait", type=float, default=0.0, help="wait after pulse, us")
-    sp.add_argument("--flip", action="store_true", help="final pi-pulse (maps f to 1-f)")
-    sp.add_argument("--sample-dt", type=float, default=0.01, help="us (default 0.01)")
-    add_shared(sp, "--gamma-nr", *OUTPUT_FLAGS)
-    sp.set_defaults(func=cmd_mix)
-
-    sp = new("cpw", help="coplanar waveguide design numbers")
-    sp.add_argument("--width", type=float, required=True, help="center conductor width, um")
-    sp.add_argument("--gap", type=float, required=True, help="vacuum gap width, um")
-    sp.add_argument("--eps-r", type=float, default=9.8)
-    sp.add_argument("--freq", type=float, default=None, help="qubit frequency, GHz")
-    sp.add_argument("--x2", type=float, default=18.4, help="qubit separation, mm")
-    add_shared(sp, *OUTPUT_FLAGS)
-    sp.set_defaults(func=cmd_cpw)
-
+    for name, (func, about, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=about, allow_abbrev=False)
+        for flag, spec in command_flags(name).items():
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(func=func, format=sp.get_default("format") or "json")  # no --format: JSON
     return parser
 
 
@@ -426,9 +422,8 @@ def remove_stale_out(args):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(with_config(parser, argv))
+        args = build_parser().parse_args(with_config(argv))
         for key, value in settings(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")

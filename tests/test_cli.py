@@ -656,13 +656,37 @@ class TestConfigFile:
         "f = 0.9\n",  # no section header
         "[run]\nf = 0.9\n[run]\ng = 1\n",  # a repeated section
         "[run]\nf = 0.9\nf = 0.8\n",  # a repeated key
+        "[run]\ngarbage\n",  # a line that is no key = value
     ])
     def test_malformed_file_is_usage_error(self, text, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5",
                      "--config", str(cfg)]) == EXIT_USAGE
-        assert f"malformed config file {cfg}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config file {cfg}: ") and "line" in err
+        assert err.count("\n") == 1  # one line, like every other refusal
+
+    @pytest.mark.parametrize("text, first, second", [
+        ("[run]\nt-max = 0.5\nt_max = 0.02\n", "run", "run"),
+        ("[run]\nt-max = 0.5\n[grid]\nt-max = 0.02\n", "run", "grid"),
+        ("[DEFAULT]\nt-max = 0.5\n[run]\nt-max = 0.02\n", "DEFAULT", "run"),
+    ])
+    def test_flag_set_twice_is_usage_error(self, text, first, second, tmp_path, capsys):
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text(text)
+        assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5",
+                     "--config", str(cfg)]) == EXIT_USAGE
+        assert (capsys.readouterr().err
+                == f"error: config file sets --t-max in [{first}] and in [{second}]\n")
+
+    def test_default_section_is_read_like_any_other(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nt-max = 0.5\nsample-dt = 0.01\n")
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 52
 
     def test_percent_in_a_value_is_literal(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -677,7 +701,7 @@ class TestConfigFile:
                               st.text(max_size=12)), max_size=8))
     def test_argv_without_config_is_returned_as_is(self, argv):
         assume(not any(a == "--config" or a.startswith("--config=") for a in argv))
-        assert wgqed.cli.with_config(wgqed.cli.build_parser(), argv) is argv
+        assert wgqed.cli.with_config(argv) is argv
 
     @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"]])
     @pytest.mark.parametrize("where", ["first", "last"])

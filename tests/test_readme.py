@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from wgqed.cli import EXIT_OK, main
+from wgqed.cli import COMMANDS, EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +36,10 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert main(argv) == EXIT_OK, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv", "scan.csv", "traj.json"]
     assert "f_achieved = " in capsys.readouterr().out
+
+
+def test_cli_section_names_every_flag():
+    section = re.search(r"^## CLI\n(.*?)(?=^## |\Z)", README.read_text(), re.S | re.M)[1]
+    flags = {flag for _, _, flags in COMMANDS.values() for flag in flags.split()}
+    # in backticks, alone or with a value: `--f`, `--state werner|pw`, `--t-max=0.25`
+    assert sorted(f for f in flags if not re.search(f"`{f}[ `=]", section)) == []

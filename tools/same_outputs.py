@@ -78,6 +78,8 @@ CORPUS = [
     ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--gamma", "1e300", "--t-max", "1",
      "--sample-dt", "0.5"],
     ["mix", "--omega", "1e8", "--pulse", "35", "--sample-dt", "0.01"],
+    # each subcommand's --help
+    *[[cmd, "--help"] for cmd in ("rates", "evolve", "scan", "prepare", "mix", "cpw")],
 ]
 
 #: the child's entry point: this file's run_tree, under the tree's own wgqed
