@@ -114,14 +114,19 @@ def emit(args, fields: dict):
                   else csv_blocks(list(fields), [list(fields.values())]))
     if args.out is None:
         sys.stdout.writelines(blocks)
+        sys.stdout.flush()  # so a failed write is main's to report, not left to the exit
         return
-    with os.fdopen(open_out(args.out), "w", newline="") as fh:
-        try:
-            fh.writelines(blocks)
-            fh.flush()
-        finally:  # cut at the bytes written, so a failed write too leaves no old tail
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+    try:
+        with os.fdopen(open_out(args.out), "w", newline="") as fh:
+            try:
+                fh.writelines(blocks)
+                fh.flush()
+            finally:  # cut at the bytes written, so a failed write too leaves no old tail
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+    except OSError as exc:  # a failed write or closing flush: main names --out by it
+        exc.filename = args.out
+        raise
 
 
 # --- configuration files -------------------------------------------------
@@ -277,16 +282,13 @@ def cmd_scan(args) -> int:
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-def matrix_payload(m: np.ndarray) -> dict:
-    return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-
-
 def cmd_prepare(args) -> int:
     cfg = PrepConfig(f=args.f, with_dissipation=args.dissipative,
                      g_strength=mhz(args.g), g_bc_strength=mhz(args.g_bc),
                      gamma_nr=mhz(args.gamma_nr))
     res = prepare_pw(cfg)
-    fields = {k: matrix_payload(getattr(res, k)) for k in ("rho1", "rho2", "rho3", "rho_out")}
+    fields = {k: {"re": getattr(res, k).real.tolist(), "im": getattr(res, k).imag.tolist()}
+              for k in ("rho1", "rho2", "rho3", "rho_out")}
     fields["fidelity_to_target"] = fidelity(res.rho_out, pseudo_werner(args.f))
     if res.gate_durations_us is not None:
         fields["gate_durations_us"] = list(res.gate_durations_us)
@@ -305,7 +307,7 @@ def cmd_mix(args) -> int:
     table = (times, states[:, 0, 0].real, states[:, 1, 1].real, np.abs(states[:, 1, 0]))
     emit(args, {"f_achieved": f, "columns": columns, "samples": table})
     if args.format == "csv" and args.out:  # stdout stays one CSV table
-        print(f"f_achieved = {f:.12g}")
+        print(f"f_achieved = {f:.12g}", flush=True)  # as emit flushes
     return EXIT_OK
 
 
@@ -328,33 +330,34 @@ def cmd_cpw(args) -> int:
 #: every flag's argparse spec, once; a "<subcommand> <flag>" entry is its meaning there alone
 FLAGS = {
     "--range": dict(required=True, help="lambda-ratio grid 'start:stop:step' or single value"),
-    "--state": dict(choices=tuple(FAMILIES), default="werner"),
-    "--f": dict(type=float, required=True),
-    "--lambda-ratio": dict(type=float, required=True),
-    "--delta-bare": dict(type=float, default=0.0, help="bare detuning, MHz"),
-    "--g": dict(type=float, default=0.0, help="direct exchange coupling, MHz"),
+    "--state": dict(choices=FAMILIES, default="werner", help="state family (default %(default)s)"),
+    "--f": dict(type=float, required=True, help="fidelity parameter f of the state"),
+    "--lambda-ratio": dict(type=float, required=True, help="wavelength ratio lambda / x2"),
+    "--delta-bare": dict(type=float, default=0.0, help="bare detuning, MHz (default %(default)s)"),
+    "--g": dict(type=float, default=0.0, help="direct exchange, MHz (default %(default)s)"),
     "--f-range": dict(default="", help="'start:stop:step' (empty for no rows)"),
     "--lambda-ratios": dict(default="", help="comma-separated list"),
-    "--dissipative": dict(action="store_true"),
-    "prepare --g": dict(type=float, default=10.0, help="a-b exchange strength, MHz"),
-    "--g-bc": dict(type=float, default=10.0, help="b-c exchange strength, MHz"),
-    "--omega": dict(type=float, default=30.0, help="Rabi frequency, MHz"),
-    "--pulse": dict(type=float, default=35.0, help="pulse duration, us"),
-    "--wait": dict(type=float, default=0.0, help="wait after pulse, us"),
+    "--dissipative": dict(action="store_true", help="finite gate times, with intrinsic decay"),
+    "prepare --g": dict(type=float, default=10.0, help="a-b exchange, MHz (default %(default)s)"),
+    "--g-bc": dict(type=float, default=10.0, help="b-c exchange, MHz (default %(default)s)"),
+    "--omega": dict(type=float, default=30.0, help="Rabi frequency, MHz (default %(default)s)"),
+    "--pulse": dict(type=float, default=35.0, help="pulse duration, us (default %(default)s)"),
+    "--wait": dict(type=float, default=0.0, help="wait after pulse, us (default %(default)s)"),
     "--flip": dict(action="store_true", help="final pi-pulse (maps f to 1-f)"),
-    "mix --sample-dt": dict(type=float, default=0.01, help="us (default 0.01)"),
+    "mix --sample-dt": dict(type=float, default=0.01, help="us (default %(default)s)"),
     "--width": dict(type=float, required=True, help="center conductor width, um"),
     "--gap": dict(type=float, required=True, help="vacuum gap width, um"),
-    "--eps-r": dict(type=float, default=9.8),
+    "--eps-r": dict(type=float, default=9.8, help="substrate permittivity (default %(default)s)"),
     "--freq": dict(type=float, default=None, help="qubit frequency, GHz"),
-    "--x2": dict(type=float, default=18.4, help="qubit separation, mm"),
-    "--gamma": dict(type=float, default=5.0, help="qubit-waveguide coupling, MHz (default 5)"),
+    "--x2": dict(type=float, default=18.4, help="qubit separation, mm (default %(default)s)"),
+    "--gamma": dict(type=float, default=5.0, help="waveguide coupling, MHz (default %(default)s)"),
     "--gamma-nr": dict(type=float, default=0.03,
-                       help="intrinsic relaxation rate, MHz (default 0.03)"),
+                       help="intrinsic relaxation rate, MHz (default %(default)s)"),
     "--t-max": dict(type=float, default=None, help="us (default 8/gamma)"),
     "--sample-dt": dict(type=float, default=None, help="us (default t_max/1000)"),
     "--out": dict(default=None, help="output path (default stdout)"),
-    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="output format (default %(default)s)"),
     "--config": dict(default=None, help="key-value configuration file"),
 }
 OUTPUT = "--out --format --config"
@@ -431,6 +434,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # writing the output failed: --out (emit names it) or stdout
+        remove_stale_out(args)
+        if exc.filename is None and sys.stdout is sys.__stdout__:  # exit flushes it once more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        to = "the standard output" if exc.filename is None else f"--out {exc.filename}"
+        print(f"error: cannot write {to}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationError as exc:
         remove_stale_out(args)

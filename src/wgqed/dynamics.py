@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import STRUCT_TOL, expm
 from .model import DerivedRates, WaveguideParams, generator_at, generator_coefficients
 
-#: most samples one time grid may hold (states.mixed_qubit: each segment's grid); admits the
+#: most samples one whole_steps grid may hold (states.mixed_qubit: each segment's); admits the
 #: longest wait ``states.wait_time_for_f`` returns (1e4 us) at the default 0.01 us step
 MAX_SAMPLES = 10**6 + 1
 
@@ -120,19 +120,6 @@ def xstate_basis() -> np.ndarray:
     """(6, 64): row k is ``xstate_generator_matrix(generator_at(e_k))`` flattened, so the X
     generator at coefficients theta (model.generator_coefficients) is theta @ xstate_basis()."""
     return np.stack([xstate_generator_matrix(generator_at(e)).ravel() for e in np.eye(6)])
-
-
-def grid_steps(duration: float, dt: float) -> int:
-    """Number of dt steps covering duration.
-
-    Raises ValueError, before anything is allocated, when the grid's
-    steps + 1 samples would exceed MAX_SAMPLES.
-    """
-    steps = duration / dt
-    if steps < MAX_SAMPLES and round(steps) < MAX_SAMPLES:
-        return round(steps)
-    raise ValueError(f"{duration:.6g} us at sample_dt = {dt:.6g} us needs "
-                     f"{steps + 1:.3g} samples; the limit is {MAX_SAMPLES}")
 
 
 def whole_steps(start: float, stop: float, step: float, what: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from .linalg import (
     tensor,
     tensor_all,
 )
-from .dynamics import InvariantViolation, grid_steps, propagate, x_matrix
+from .dynamics import InvariantViolation, propagate, whole_steps, x_matrix
 from .model import check_fields, lindblad_generator, mhz
 
 WAIT_CAP_US = 1e4
@@ -170,14 +170,17 @@ def mixed_qubit(cfg: RabiConfig) -> tuple[np.ndarray, np.ndarray]:
     A long resonant pulse (H = Omega/2 sigma_x in the frame rotating at the qubit frequency)
     equilibrates the populations near 1/2; waiting afterwards lets the excited population decay
     to the target ground population f.  Returns (times, states), as the evolve paths of
-    wgqed.dynamics do: the (n,) sample times and the (n, 2, 2) density matrices.  MAX_SAMPLES
-    caps the pulse's grid and the wait's grid each (grid_steps), so n stays below twice it.
+    wgqed.dynamics do: the (n,) sample times and the (n, 2, 2) density matrices.  Each segment
+    holds whole_steps' count of steps (at least 2), stretched to end at its duration exactly;
+    whole_steps caps each segment's grid at MAX_SAMPLES, so n stays below twice it.
     Raises InvariantViolation when the final state is not a density matrix to STRUCT_TOL.
     """
-    segments = [(h, duration, max(grid_steps(duration, cfg.sample_dt), 2))  # all capped first
+    dt = cfg.sample_dt
+    segments = [(h, duration, max(len(whole_steps(
+                     0.0, duration, dt, f"{duration:.6g} us at sample_dt = {dt:.6g} us")) - 1, 2))
                 for h, duration in ((cfg.omega / 2 * SIGMA_X, cfg.pulse_duration),
                                     (np.zeros((2, 2), dtype=complex), cfg.wait_duration))
-                if duration > 0]
+                if duration > 0]  # all capped before any is propagated
     if cfg.pulse_duration > 0 and cfg.pulse_duration < 3.0 / max(cfg.gamma_nr, 1e-30):
         warnings.warn("pulse shorter than ~3/gamma_nr: populations may not "
                       "reach the 1/2-1/2 mixture", stacklevel=2)

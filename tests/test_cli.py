@@ -2,9 +2,11 @@
 
 import csv
 import errno
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -23,16 +25,19 @@ from wgqed.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    FLAGS,
+    build_parser,
     csv_blocks,
     csv_line,
     json_blocks,
     main,
     parse_range,
 )
+from wgqed.cpw import lambda_ratio_for_freq
 from wgqed.dynamics import MAX_SAMPLES, evolve_xstate, propagate
 from wgqed.entangle import trajectory_concurrences
 from wgqed.model import TWO_PI, WaveguideParams, derive_rates, mhz
-from wgqed.states import werner_vector
+from wgqed.states import PrepConfig, RabiConfig, werner_vector
 
 
 class TestParseRange:
@@ -548,13 +553,91 @@ class TestOutInPlace:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(wgqed.cli, writer, failing)
-        out = tmp_path / "out"
+        out, link = tmp_path / "out", tmp_path / "link"
         out.write_bytes(b"x" * (2 * len(want)))
-        with pytest.raises(OSError, match="No space left on device"):
-            main(argv + ["--out", str(out)])
-        # the first block alone, as a truncating open leaves it: a proper prefix of the output
+        link.symlink_to(out)
+        assert main(argv + ["--out", str(link)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: cannot write --out {link}: "
+                                           "No space left on device\n")
+        # the stale link goes; its target holds the first block alone, as a truncating open
+        # leaves it: a proper prefix of the output
+        assert not os.path.lexists(link)
         assert out.read_bytes() == written[0].encode()
         assert want.startswith(out.read_bytes()) and len(out.read_bytes()) < len(want)
+        # a regular file that fails is removed, as after exit 3 and 4
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not os.path.lexists(out)
+
+    def test_failed_stdout_write_is_one_line_and_exit_2(self, monkeypatch, capsys):
+        def failing(*args):
+            yield "t_us\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(wgqed.cli, "csv_blocks", failing)
+        assert main(IN_PLACE_RUNS["evolve-csv"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: cannot write the standard output: "
+                                           "No space left on device\n")
+
+    def test_failed_stdout_after_out_names_the_standard_output(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # a CSV mix with --out prints f_achieved to stdout after the file is written
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        out = tmp_path / "mix.csv"
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(BYTE_RUNS["mix"] + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: cannot write the standard output: "
+                                           "No space left on device\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_is_one_line_and_exit_2(unbuffered):
+    # nothing more reaches stderr when the interpreter flushes stdout at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(wgqed.cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    argv = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "2", "--sample-dt",
+            "0.0001"]  # 20001 rows: far more than a pipe holds
+    with subprocess.Popen([sys.executable, "-m", "wgqed.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"t_us,C,a,b,c,d,re_z,im_z,re_w,im_w\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_USAGE
+    assert err == b"error: cannot write the standard output: Broken pipe\n"
+
+
+class TestFlagTable:
+    def test_every_flag_has_help_that_reads_its_default_from_argparse(self, capsys):
+        # a number or choice default is written once, in default=, and shown by %(default)s
+        for flag, spec in FLAGS.items():
+            shown = "choices" in spec or type(spec.get("default")) in (int, float)
+            assert spec.get("help"), flag
+            assert ("%(default)s" in spec["help"]) == shown, flag
+            assert not re.search(r"default [\d.]+\)", spec["help"]), flag  # 8/gamma is derived
+        with pytest.raises(SystemExit):
+            main(["evolve", "--help"])
+        assert "--gamma GAMMA         waveguide coupling, MHz (default 5.0)\n" in (
+            capsys.readouterr().out)
+
+    def test_physical_defaults_equal_the_library_defaults(self):
+        # MHz on the command line, rad/us in the library: each is written in both, so pinned
+        parse = build_parser().parse_args
+        prep, mix = parse(["prepare", "--f", "0.5"]), parse(["mix"])
+        evolve = parse(["evolve", "--f", "0.5", "--lambda-ratio", "1.5"])
+        cpw = parse(["cpw", "--width", "20", "--gap", "8"])
+        lib_prep, lib_mix = PrepConfig(f=0.5), RabiConfig()
+        lib_line = WaveguideParams(gamma=1.0, gamma_nr=0.0, lambda_ratio=1.5)
+        assert mhz(prep.gamma_nr) == lib_prep.gamma_nr and mhz(mix.gamma_nr) == lib_mix.gamma_nr
+        assert mhz(prep.g) == lib_prep.g_strength and mhz(prep.g_bc) == lib_prep.g_bc_strength
+        assert mhz(mix.omega) == lib_mix.omega
+        assert mhz(evolve.delta_bare) == lib_line.delta_bare and mhz(evolve.g) == lib_line.g
+        assert (mix.pulse, mix.wait, mix.sample_dt) == (
+            lib_mix.pulse_duration, lib_mix.wait_duration, lib_mix.sample_dt)
+        assert prep.dissipative == lib_prep.with_dissipation
+        assert cpw.x2 == inspect.signature(lambda_ratio_for_freq).parameters["x2_mm"].default
 
 
 class TestConfigFile:

@@ -1,7 +1,9 @@
-"""The corpus of tools/same_outputs.py: every argv parses, and it covers every subcommand and
-the README's examples.  Nothing is run but --help."""
+"""tools/same_outputs.py: its corpus (every argv parses, and it covers every subcommand and the
+README's examples; nothing is run but --help), and its report of what moved, on synthetic
+inputs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,46 @@ def test_corpus_holds_the_readme_examples():
     examples = cli_examples()
     assert len(examples) == 6
     assert all(argv in same_outputs.CORPUS for argv in examples)
+
+
+def op_list(*outs) -> bytes:
+    return json.dumps([{"workload": w, "seed": seed, "op": op, "out": out}
+                       for w, seed, op, out in outs]).encode()
+
+
+def test_moved_entries_name_the_op_list_entries_that_differ():
+    old = op_list(("esd_map", 1, 0, {"threshold": 0.5}), ("protocols", 1, 0, {"f": 0.8}),
+                  ("protocols", 2, 1, {"f": float("nan")}))
+    new = op_list(("esd_map", 1, 0, {"threshold": 0.5}), ("protocols", 1, 0, {"f": 0.81}),
+                  ("protocols", 2, 1, {"f": float("nan")}), ("trajectory", 1, 0, {}))
+    assert same_outputs.moved_entries(old, old) == []
+    assert same_outputs.moved_entries(old, new) == ["workload=protocols seed=1 op=0",
+                                                    "workload=trajectory seed=1 op=0"]
+
+
+def test_moved_entries_name_the_death_set_rows_that_differ():
+    def death_set(rows, gamma=5.0) -> bytes:
+        return json.dumps({"gamma_mhz": gamma, "columns": ["lambda_ratio", "werner"],
+                           "rows": rows}).encode()
+
+    old = death_set([[1.2, [[0.25, 0.5]]], [1.205, [[0.25, 0.6]]]])
+    assert same_outputs.moved_entries(
+        old, death_set([[1.2, [[0.25, 0.5]]], [1.205, [[0.25, 0.7]]]])) == ["lambda_ratio=1.205"]
+    assert same_outputs.moved_entries(
+        old, death_set([[1.2, [[0.25, 0.5]]], [1.205, [[0.25, 0.6]]]], 6.0)) == ["gamma_mhz"]
+    # the same entries in other bytes, and bytes that are not JSON
+    assert same_outputs.moved_entries(old, old + b"\n") == ["the bytes alone: no entry differs"]
+    assert same_outputs.moved_entries(old, b"[") == ["not comparable entry by entry"]
+
+
+def test_moved_fields_name_each_run_and_field_that_differ():
+    def run(code=0, stdout="", stderr="", files=None, warnings=()):
+        return {"code": code, "stdout": stdout, "stderr": stderr, "files": files or {},
+                "warnings": list(warnings)}
+
+    old = [run(stdout="a\n"), run(files={"out": "a\n"})]
+    assert same_outputs.moved_fields(old, old) == []
+    assert same_outputs.moved_fields(old, [run(stdout="b\n"), old[1]]) == ["run: stdout"]
+    assert same_outputs.moved_fields(
+        old, [old[0], run(code=2, stderr="error\n", warnings=[["UserWarning", "w"]])]) == [
+        "run with --out: code, stderr, files, warnings"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wgqed.cli import EXIT_OK, main
-from wgqed.dynamics import MAX_SAMPLES, grid_steps, x_matrix
+from wgqed.dynamics import MAX_SAMPLES, whole_steps, x_matrix
 from wgqed.linalg import SIGMA_X, check_density_matrix, fidelity, partial_trace
 from wgqed.model import mhz
 from wgqed.states import (
@@ -252,13 +252,33 @@ class TestMixedQubit:
     def test_sample_cap(self):
         # the longest wait wait_time_for_f allows fits the cap at the default
         # step; ten times that is refused before anything is propagated
-        assert grid_steps(WAIT_CAP_US, RabiConfig().sample_dt) + 1 <= MAX_SAMPLES
+        assert len(whole_steps(0.0, WAIT_CAP_US, RabiConfig().sample_dt, "wait")) <= MAX_SAMPLES
         # the cap is per segment: the default pulse then that wait holds more in all
         cfg = RabiConfig(wait_duration=WAIT_CAP_US)
-        steps = [grid_steps(d, cfg.sample_dt) for d in (cfg.pulse_duration, cfg.wait_duration)]
+        steps = [len(whole_steps(0.0, d, cfg.sample_dt, "segment")) - 1
+                 for d in (cfg.pulse_duration, cfg.wait_duration)]
         assert 1 + sum(steps) == 1_003_501 > MAX_SAMPLES
-        with pytest.raises(ValueError, match=f"limit is {MAX_SAMPLES}"):
+        with pytest.raises(ValueError) as exc:
             mixed_qubit(RabiConfig(wait_duration=10 * WAIT_CAP_US))
+        assert str(exc.value) == ("100000 us at sample_dt = 0.01 us needs 1e+07 samples; "
+                                  f"the limit is {MAX_SAMPLES}")
+
+    @pytest.mark.parametrize("wait, steps", [
+        (4.866, 486),  # 486.59999999999997 steps: the fraction is not rounded up
+        (0.035, 3),  # 3.5000000000000004
+        (0.045, 4),  # 4.5
+        (0.7, 70),
+        (0.015, 2),
+        (0.001, 2),  # under one step: still 2
+    ])
+    def test_segment_counts_whole_steps_and_ends_at_its_duration(self, wait, steps):
+        # whole_steps' count, as for every evolve grid and --range, at least 2; the steps are
+        # stretched, not the count rounded, so the last sample is the duration
+        times, _ = mixed_qubit(RabiConfig(pulse_duration=0.0, wait_duration=wait,
+                                          sample_dt=0.01))
+        assert len(times) == steps + 1 == max(len(whole_steps(0.0, wait, 0.01, "wait")), 3)
+        assert times[-1] == wait
+        assert np.diff(times) == pytest.approx(wait / steps, rel=1e-12)
 
     def test_sample_cap_comes_before_the_short_pulse_warning(self):
         # a 1 us pulse is short of 3/gamma_nr, but its 1e7-sample grid is refused: no warning

@@ -8,14 +8,15 @@ One child process per tree (``PYTHONPATH=<tree>/src``) writes both ``tests/make_
 files, and runs each argv of CORPUS through ``wgqed.cli.main`` twice: as it stands, and with
 ``--out`` added.  Each run starts in an empty directory and keeps every file it leaves there, so
 an argv's own ``--out`` file counts too.  The tool prints ``same`` or ``differs`` per item and
-exits 1 if any item differs.  A reference file is compared byte for byte.  A CORPUS item is its
-two runs' exit codes, stdout, stderr, files (or their absence) and warnings; a warning is its
-category and message, not its file:line, which moves with the code.
+exits 1 if any item differs.  A reference file is compared byte for byte; under one that differs
+it lists the entries that differ (:func:`moved_entries`).  A CORPUS item is its two runs' exit
+codes, stdout, stderr, files (or their absence) and warnings; a warning is its category and
+message, not its file:line, which moves with the code.  Under an item that differs it lists, per
+run, which of these differ (:func:`moved_fields`).
 """
 
 from __future__ import annotations
 
-import filecmp
 import io
 import json
 import os
@@ -127,6 +128,36 @@ def outputs(tree: str, outdir: Path) -> list:
     return json.loads((outdir / "runs.json").read_text())
 
 
+def entries(ref) -> dict:
+    """A reference's entries by their identifying fields: an op-list entry by workload, seed and
+    op, a death-set row by its lambda / x2, and any other key of the death-set file by name."""
+    if isinstance(ref, list):
+        return {f"workload={e['workload']} seed={e['seed']} op={e['op']}": e for e in ref}
+    return {**{k: v for k, v in ref.items() if k != "rows"},
+            **{f"lambda_ratio={row[0]!r}": row for row in ref.get("rows", [])}}
+
+
+def moved_entries(old: bytes, new: bytes) -> list[str]:
+    """The entries of two reference files' bytes that differ, added or gone; none if the bytes
+    are equal.  Entries are compared as their JSON text, so NaN equals NaN."""
+    if old == new:
+        return []
+    try:
+        old_entries, new_entries = entries(json.loads(old)), entries(json.loads(new))
+    except (ValueError, KeyError, TypeError, IndexError):
+        return ["not comparable entry by entry"]
+    moved = [k for k in {**old_entries, **new_entries}
+             if k not in old_entries or k not in new_entries
+             or json.dumps(old_entries[k]) != json.dumps(new_entries[k])]
+    return moved or ["the bytes alone: no entry differs"]
+
+
+def moved_fields(old: list[dict], new: list[dict]) -> list[str]:
+    """Per run of a CORPUS item (without and with --out), which of its fields differ."""
+    return [f"{run}: {', '.join(k for k in a if a[k] != b[k])}"
+            for run, a, b in zip(("run", "run with --out"), old, new) if a != b]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage:", __doc__.split("\n\n")[2].strip(), file=sys.stderr)
@@ -134,12 +165,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [Path(tmp, side) for side in ("parent", "change")]
         parent, change = [outputs(tree, outdir) for tree, outdir in zip(argv, dirs)]
-        items = [(name, filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False))
+        items = [(name, moved_entries(*[(d / name).read_bytes() for d in dirs]))
                  for name in REFERENCES]
-    items += [(shlex.join(argv), a == b) for argv, a, b in zip(CORPUS, parent, change)]
-    for name, same in items:
-        print(f"{'same' if same else 'differs'}  {name}")
-    return 0 if all(same for _, same in items) else 1
+    items += [(shlex.join(argv), moved_fields(a, b)) for argv, a, b in zip(CORPUS, parent, change)]
+    for name, moved in items:
+        print(f"{'differs' if moved else 'same'}  {name}")
+        for line in moved:
+            print(f"    {line}")
+    return 1 if any(moved for _, moved in items) else 0
 
 
 if __name__ == "__main__":
