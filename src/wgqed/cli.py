@@ -4,14 +4,17 @@ Human-facing rates are linear frequencies in MHz (the 2*pi divided back
 out); internal angular-frequency values appear in JSON under ``raw``.
 Output files are byte-deterministic: '.' decimal, ',' separator, '\\n'
 line endings, no timestamps, 12 significant digits in CSV and in JSON the shortest repr.
-A run writes --out from its start, in place, and cuts a regular file at the end of the new
-output; a device or FIFO (/dev/null, /dev/stdout, a pipe) is written without a cut.
+main opens --out once, before the run, and every result is written through that one stream from
+the file's start, in place: a regular file is then cut at the end of the new output, a device or
+FIFO (/dev/null, /dev/stdout, a pipe) is written without a cut, and a failed run's regular file
+is emptied and its path removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import json
 import math
@@ -97,8 +100,9 @@ def json_blocks(payload: dict):
     yield "\n  ]\n}\n" if len(table[0]) else "]\n}\n"
 
 
-def emit(args, fields: dict):
-    """Write a result over --out (checked by :func:`check_out`) from its start, or to stdout.
+def emit(out, args, fields: dict):
+    """Write a result through out, the run's one stream: stdout, or --out from its start, then
+    cut if a regular file, and closed.
 
     JSON is {"generated_by", "config", **fields}, config holding every setting but --out and
     --format.  CSV is fields["columns"], then a line per row of the table fields[max(fields)]
@@ -112,19 +116,14 @@ def emit(args, fields: dict):
     else:
         blocks = (csv_blocks(fields["columns"], fields[max(fields)]) if "columns" in fields
                   else csv_blocks(list(fields), [list(fields.values())]))
-    if args.out is None:
-        sys.stdout.writelines(blocks)
-        sys.stdout.flush()  # so a failed write is main's to report, not left to the exit
-        return
     try:
-        with os.fdopen(open_out(args.out), "w", newline="") as fh:
-            try:
-                fh.writelines(blocks)
-                fh.flush()
-            finally:  # cut at the bytes written, so a failed write too leaves no old tail
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
-    except OSError as exc:  # a failed write or closing flush: main names --out by it
+        out.writelines(blocks)
+        out.flush()  # so a failed write is main's to report, not left to the exit
+        if args.out is not None:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # so no earlier, longer tail stays
+                os.ftruncate(out.fileno(), os.lseek(out.fileno(), 0, os.SEEK_CUR))
+            out.close()
+    except OSError as exc:  # a failed write, cut or close: main names --out by it, or stdout
         exc.filename = args.out
         raise
 
@@ -182,14 +181,14 @@ def make_params(args, lambda_ratio: float, **knobs) -> WaveguideParams:
     return WaveguideParams(mhz(args.gamma), mhz(args.gamma_nr), lambda_ratio, **knobs)
 
 
-def cmd_rates(args) -> int:
+def cmd_rates(args, out) -> int:
     columns = ("lambda_ratio,phi_rad,Gamma_a_MHz,Gamma_b_MHz,Gamma_col_MHz,"
                "g_x_MHz,d_omega1_MHz,d_omega2_MHz").split(",")
     ratios = parse_range(args.range)
     p = make_params(args, float(ratios[0]))  # checks the flags; the grid ascends from ratios[0]
     r = vars(derive_rates(SimpleNamespace(**{**vars(p), "lambda_ratio": ratios})))  # in one call
     table = (ratios, r["phi"], *[v / TWO_PI for k, v in r.items() if k != "phi"])
-    emit(args, {"columns": columns, "rows": table})
+    emit(out, args, {"columns": columns, "rows": table})
     return EXIT_OK
 
 
@@ -236,14 +235,14 @@ def scan_column(args, x0s: np.ndarray, lambda_ratio: float) -> list:
     return [rep for k in range(0, len(x0s), batch) for rep in reports(x0s[k:k + batch])]
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args, out) -> int:
     inputs = cell_inputs(args, args.lambda_ratio, delta_bare=mhz(args.delta_bare), g=mhz(args.g))
     times, states = evolve_xstate(FAMILIES[args.state](args.f), *inputs)
     c = trajectory_concurrences(states)
     report = detect_events(times, c)
     table = (times, c, *states.T)
     columns = "t_us,C,a,b,c,d,re_z,im_z,re_w,im_w".split(",")
-    emit(args, {
+    emit(out, args, {
         "rates": rates_dict(inputs[0]),
         "esd": {"death_times_us": report.death_times, "revival_times_us": report.revival_times,
                 "final_concurrence": report.final_concurrence},
@@ -253,7 +252,7 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, out) -> int:
     fs = parse_range(args.f_range) if args.f_range else np.array([])
     try:
         ratios = [float(s) for s in args.lambda_ratios.split(",")] if args.lambda_ratios else []
@@ -276,13 +275,13 @@ def cmd_scan(args) -> int:
                          deaths[0] if deaths else None, revivals[0] if revivals else None,
                          rep.final_concurrence])
     columns = "f,lambda_ratio,died,revived,t_death,t_revival,C_final".split(",")
-    emit(args, {"columns": columns, "rows": rows})
+    emit(out, args, {"columns": columns, "rows": rows})
     for f, lr, msg in failures:
         print(f"scan cell f={f} lambda_ratio={lr} failed: {msg}", file=sys.stderr)
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-def cmd_prepare(args) -> int:
+def cmd_prepare(args, out) -> int:
     cfg = PrepConfig(f=args.f, with_dissipation=args.dissipative,
                      g_strength=mhz(args.g), g_bc_strength=mhz(args.g_bc),
                      gamma_nr=mhz(args.gamma_nr))
@@ -292,11 +291,11 @@ def cmd_prepare(args) -> int:
     fields["fidelity_to_target"] = fidelity(res.rho_out, pseudo_werner(args.f))
     if res.gate_durations_us is not None:
         fields["gate_durations_us"] = list(res.gate_durations_us)
-    emit(args, fields)
+    emit(out, args, fields)
     return EXIT_OK
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args, out) -> int:
     cfg = RabiConfig(omega=mhz(args.omega), gamma_nr=mhz(args.gamma_nr),
                      pulse_duration=args.pulse, wait_duration=args.wait,
                      sample_dt=args.sample_dt)
@@ -305,13 +304,13 @@ def cmd_mix(args) -> int:
     f = float(states[-1, 1, 1].real if args.flip else states[-1, 0, 0].real)
     columns = ["t_us", "rho_gg", "rho_ee", "abs_rho_eg"]
     table = (times, states[:, 0, 0].real, states[:, 1, 1].real, np.abs(states[:, 1, 0]))
-    emit(args, {"f_achieved": f, "columns": columns, "samples": table})
+    emit(out, args, {"f_achieved": f, "columns": columns, "samples": table})
     if args.format == "csv" and args.out:  # stdout stays one CSV table
         print(f"f_achieved = {f:.12g}", flush=True)  # as emit flushes
     return EXIT_OK
 
 
-def cmd_cpw(args) -> int:
+def cmd_cpw(args, out) -> int:
     if not args.x2 > 0:  # read only with --freq, but refused alike
         raise ValueError(f"--x2 must be > 0, got {args.x2}")
     geom = CpwGeometry(center_width=args.width, gap_width=args.gap, eps_r=args.eps_r)
@@ -321,7 +320,7 @@ def cmd_cpw(args) -> int:
         ratio = lambda_ratio_for_freq(args.freq, geom, args.x2)  # names --freq when refused
         report["lambda_mm"] = wavelength(2 * np.pi * args.freq * 1e9, derived.v_ph) * 1e3
         report["lambda_ratio"] = ratio
-    emit(args, report)
+    emit(out, args, report)
     return EXIT_OK
 
 
@@ -384,11 +383,20 @@ def command_flags(command: str) -> dict:
     return {f: FLAGS.get(f"{command} {f}") or FLAGS[f] for f in COMMANDS[command][2].split()}
 
 
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed --help or --version write reaches main as an OSError."""
+
+    def _print_message(self, message, file):
+        if file is not sys.stdout:  # stderr is written as argparse does
+            return super()._print_message(message, file)
+        file.write(message)  # argparse's own swallows a failed write
+        file.flush()  # and a buffered one would fail only at exit
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a removed flag must not resolve to a longer one (--gamma to --gamma-nr)
-    parser = argparse.ArgumentParser(prog="wgqed", description=__doc__.splitlines()[0],
-                                     allow_abbrev=False)
+    parser = Parser(prog="wgqed", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=GENERATED_BY)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, about, _) in COMMANDS.items():
@@ -399,58 +407,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def open_out(path: str) -> int:
-    """A descriptor of path for writing from its start: created if missing, never truncated."""
-    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-
-
-def check_out(path: str | None):
-    """ValueError, before the run, for an --out open_out refuses; a file it creates is removed."""
+def open_out(path: str | None):
+    """The run's one output stream: stdout, or path for writing from its start, created if
+    missing and never truncated; a path that cannot be opened is a ValueError."""
     if path is None:
-        return
-    existed = os.path.lexists(path)
+        return sys.stdout
     try:
-        os.close(open_out(path))
+        return os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
-    if not existed:
-        os.remove(path)
-
-
-def remove_stale_out(args):
-    """Delete the --out file of a failed run, so no earlier output passes for its result."""
-    if args.out is not None and os.path.isfile(args.out):
-        os.remove(args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    out = existed = None
     try:
         args = build_parser().parse_args(with_config(argv))
         for key, value in settings(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
-        check_out(args.out)
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        existed = args.out is not None and os.path.lexists(args.out)
+        out = open_out(args.out)  # refused here, before the run
+        return args.func(args, out)
+    except ValueError as exc:  # raised before any write: an earlier --out is kept as it was
+        code, message, keep = EXIT_USAGE, f"error: {exc}", existed
     except OSError as exc:  # writing the output failed: --out (emit names it) or stdout
-        remove_stale_out(args)
         if exc.filename is None and sys.stdout is sys.__stdout__:  # exit flushes it once more
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.close(devnull)
         to = "the standard output" if exc.filename is None else f"--out {exc.filename}"
-        print(f"error: cannot write {to}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message, keep = EXIT_USAGE, f"error: cannot write {to}: {exc.strerror}", False
     except IntegrationError as exc:
-        remove_stale_out(args)
-        print(f"numerical failure: {exc} (last good time {exc.last_time:.6g} us)",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, message, keep = EXIT_NUMERICAL, (f"numerical failure: {exc} (last good time "
+                                               f"{exc.last_time:.6g} us)"), False
     except InvariantViolation as exc:
-        remove_stale_out(args)
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        code, message, keep = EXIT_INVARIANT, f"invariant violation: {exc}", False
+    if out is not None and args.out is not None:  # a failed run's --out stream
+        with contextlib.suppress(OSError):  # a failed stream fails its closing flush again
+            out.close()
+        if not keep and os.path.isfile(args.out):  # a device or FIFO is left as it is
+            os.truncate(args.out, 0)  # so a symlink's target keeps no earlier or partial output
+            os.remove(args.out)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -487,6 +488,14 @@ class TestEmit:
                                  + [csv_line(row) for row in table.tolist()])
 
 
+def faulty_propagate(*args):
+    """A propagator fault that leaves one sample (t = 0.07 us at a 0.01 us step) outside the
+    state space."""
+    states = propagate(*args)
+    states[7, 1] = 1.5
+    return states
+
+
 def stdout_bytes(argv: list[str], capsys) -> bytes:
     assert main(argv) == EXIT_OK
     return capsys.readouterr().out.encode()
@@ -542,14 +551,13 @@ class TestOutInPlace:
         (IN_PLACE_RUNS["evolve-csv"], "csv_blocks"),
         (IN_PLACE_RUNS["evolve-json"], "json_blocks"),
     ])
-    def test_failed_write_leaves_a_prefix_and_no_old_tail(self, argv, writer, monkeypatch,
-                                                          tmp_path, capsys):
+    def test_failed_write_empties_the_target_and_removes_the_path(self, argv, writer,
+                                                                  monkeypatch, tmp_path, capsys):
         want = stdout_bytes(argv, capsys)
-        real, written = getattr(wgqed.cli, writer), []
+        real = getattr(wgqed.cli, writer)
 
         def failing(*args):
-            written.append(next(real(*args)))
-            yield written[0]
+            yield next(real(*args))
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(wgqed.cli, writer, failing)
@@ -559,14 +567,43 @@ class TestOutInPlace:
         assert main(argv + ["--out", str(link)]) == EXIT_USAGE
         assert capsys.readouterr().err == (f"error: cannot write --out {link}: "
                                            "No space left on device\n")
-        # the stale link goes; its target holds the first block alone, as a truncating open
-        # leaves it: a proper prefix of the output
+        # the link goes, and its target holds neither the earlier output nor a prefix
         assert not os.path.lexists(link)
-        assert out.read_bytes() == written[0].encode()
-        assert want.startswith(out.read_bytes()) and len(out.read_bytes()) < len(want)
+        assert out.read_bytes() == b""
         # a regular file that fails is removed, as after exit 3 and 4
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert not os.path.lexists(out)
+
+    def test_out_is_opened_once_per_run(self, monkeypatch, tmp_path, capsys):
+        # a success, a usage error found after the open, and an invariant violation
+        out, real, opened = tmp_path / "out.csv", os.open, []
+
+        def counting(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting)
+        evolve = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "0.5",
+                  "--sample-dt", "0.01", "--out", str(out)]
+        assert main(evolve) == EXIT_OK
+        written = out.read_bytes()
+        assert main(evolve + ["--state", "pw", "--f", "1.5"]) == EXIT_USAGE
+        assert out.read_bytes() == written  # kept as it was
+        monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
+        assert main(evolve) == EXIT_INVARIANT
+        assert opened.count(str(out)) == 3
+
+    def test_symlinked_out_after_a_failed_run_is_gone_and_its_target_empty(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("left over from an earlier run\n")
+        link.symlink_to(target)
+        assert main(TestExitCodes.EVOLVE + ["--t-max", "0.5", "--sample-dt", "0.01",
+                                            "--out", str(link)]) == EXIT_INVARIANT
+        assert "invariant violation" in capsys.readouterr().err
+        assert not os.path.lexists(link)
+        assert target.read_bytes() == b""
 
     def test_failed_stdout_write_is_one_line_and_exit_2(self, monkeypatch, capsys):
         def failing(*args):
@@ -593,6 +630,29 @@ class TestOutInPlace:
         assert not out.exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named FIFOs")
+def test_fifo_out_receives_the_whole_output(tmp_path, capsys):
+    # a second open of the FIFO would wait for a reader that has already had its EOF
+    argv = ["evolve", "--f", "0.9", "--lambda-ratio", "1.5", "--t-max", "2", "--sample-dt",
+            "0.001"]  # 2001 rows: more than a pipe holds
+    want = stdout_bytes(argv, capsys)
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    env = dict(os.environ, PYTHONPATH=str(Path(wgqed.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wgqed.cli", *argv, "--out", str(fifo)],
+                          env=env, capture_output=True, timeout=60)
+    reader.join(timeout=10)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert got == [want]
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_pipe_is_one_line_and_exit_2(unbuffered):
     # nothing more reaches stderr when the interpreter flushes stdout at exit
@@ -607,6 +667,49 @@ def test_closed_pipe_is_one_line_and_exit_2(unbuffered):
         err = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_USAGE
     assert err == b"error: cannot write the standard output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv, into, reason", [
+    (["cpw", "--help"], "/dev/full", "No space left on device"),
+    (["--version"], "/dev/full", "No space left on device"),
+    (["evolve", "--help"], "a closed pipe", "Broken pipe"),
+], ids=["help-into-dev-full", "version-into-dev-full", "help-into-closed-pipe"])
+def test_failed_help_or_version_write_is_one_line_and_exit_2(argv, into, reason, unbuffered):
+    # argparse swallows a failed write, and a buffered one would fail only at interpreter exit
+    if into == "/dev/full" and not os.path.exists(into):
+        pytest.skip("needs /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(Path(wgqed.cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    if into == "/dev/full":
+        stdout = os.open(into, os.O_WRONLY)
+    else:
+        read, stdout = os.pipe()
+        os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wgqed.cli", *argv], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == f"error: cannot write the standard output: {reason}\n".encode()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_failed_stdout_leaves_no_descriptor_open(monkeypatch, tmp_path, capsys):
+    # main points the failed stdout at os.devnull and closes the descriptor it opened for that
+    def failing(*args):
+        yield "t_us\n"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(wgqed.cli, "csv_blocks", failing)
+    before = len(os.listdir("/proc/self/fd"))
+    for run in range(2):
+        with open(tmp_path / f"stdout{run}", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(sys, "__stdout__", stdout)
+            assert main(IN_PLACE_RUNS["evolve-csv"]) == EXIT_USAGE
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestFlagTable:
@@ -987,12 +1090,6 @@ class TestExitCodes:
                      "--lambda-ratio", "1.5"]) == EXIT_USAGE
 
     def test_bad_sample_is_invariant_violation(self, monkeypatch, tmp_path, capsys):
-        # a propagator fault that leaves one sample outside the state space
-        def faulty_propagate(*args):
-            states = propagate(*args)
-            states[7, 1] = 1.5
-            return states
-
         monkeypatch.setattr(wgqed.dynamics, "propagate", faulty_propagate)
         out = tmp_path / "t.csv"
         out.write_text("left over from an earlier run\n")

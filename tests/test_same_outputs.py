@@ -4,6 +4,7 @@ inputs."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -70,9 +71,37 @@ def test_moved_fields_name_each_run_and_field_that_differ():
         return {"code": code, "stdout": stdout, "stderr": stderr, "files": files or {},
                 "warnings": list(warnings)}
 
-    old = [run(stdout="a\n"), run(files={"out": "a\n"})]
+    old = [run(stdout="a\n"), run(files={"out": "a\n"}), run(files={"out": "a\n"})]
     assert same_outputs.moved_fields(old, old) == []
-    assert same_outputs.moved_fields(old, [run(stdout="b\n"), old[1]]) == ["run: stdout"]
+    assert same_outputs.moved_fields(old, [run(stdout="b\n"), *old[1:]]) == ["run: stdout"]
     assert same_outputs.moved_fields(
-        old, [old[0], run(code=2, stderr="error\n", warnings=[["UserWarning", "w"]])]) == [
+        old, [old[0], run(code=2, stderr="error\n", warnings=[["UserWarning", "w"]]), old[2]]) == [
         "run with --out: code, stderr, files, warnings"]
+    assert same_outputs.moved_fields(old, [*old[:2], run(files={"out": "EARLIER, as it was"})]) == [
+        "run with --out over an earlier file: files"]
+
+
+def test_third_run_records_an_earlier_file_kept_cut_or_removed(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # run_once moves into each workdir
+
+    def cut(argv):
+        with open(argv[-1], "r+") as fh:
+            fh.write("new\n")
+            fh.truncate()
+        return 0
+
+    def removed(argv):
+        os.remove(argv[-1])
+        return 4
+
+    def run(main, earlier):
+        workdir = tmp_path / f"run{len(os.listdir(tmp_path))}"
+        workdir.mkdir()
+        record = same_outputs.run_once(main, ["evolve", "--out", "out"], workdir, earlier)
+        return record["code"], record["files"]
+
+    assert len(same_outputs.EARLIER) > 100_000
+    assert run(lambda argv: 2, same_outputs.EARLIER) == (2, {"out": "EARLIER, as it was"})
+    assert run(cut, same_outputs.EARLIER) == (0, {"out": "new\n"})
+    assert run(removed, same_outputs.EARLIER) == (4, {})
+    assert run(lambda argv: 2, None) == (2, {})

@@ -5,14 +5,16 @@ Run from anywhere:
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
 One child process per tree (``PYTHONPATH=<tree>/src``) writes both ``tests/make_*_reference.py``
-files, and runs each argv of CORPUS through ``wgqed.cli.main`` twice: as it stands, and with
-``--out`` added.  Each run starts in an empty directory and keeps every file it leaves there, so
-an argv's own ``--out`` file counts too.  The tool prints ``same`` or ``differs`` per item and
-exits 1 if any item differs.  A reference file is compared byte for byte; under one that differs
-it lists the entries that differ (:func:`moved_entries`).  A CORPUS item is its two runs' exit
-codes, stdout, stderr, files (or their absence) and warnings; a warning is its category and
-message, not its file:line, which moves with the code.  Under an item that differs it lists, per
-run, which of these differ (:func:`moved_fields`).
+files, and runs each argv of CORPUS through ``wgqed.cli.main`` three times: as it stands, with
+``--out`` added, and with ``--out`` over an earlier, longer file (EARLIER), so whether a run keeps,
+cuts or removes an earlier file is compared too.  Each run starts in a directory that holds
+nothing else and keeps every file it leaves there, so an argv's own ``--out`` file counts too.
+The tool prints ``same`` or ``differs`` per item and exits 1 if any item differs.  A reference
+file is compared byte for byte; under one that differs it lists the entries that differ
+(:func:`moved_entries`).  A CORPUS item is its three runs' exit codes, stdout, stderr, files (or
+their absence) and warnings; a warning is its category and message, not its file:line, which
+moves with the code, and EARLIER, where a run leaves it as it was, is recorded by name.  Under an
+item that differs it lists, per run, which of these differ (:func:`moved_fields`).
 """
 
 from __future__ import annotations
@@ -83,14 +85,20 @@ CORPUS = [
     *[[cmd, "--help"] for cmd in ("rates", "evolve", "scan", "prepare", "mix", "cpw")],
 ]
 
+#: what the third run of each argv finds at its --out path: longer than every CORPUS output
+EARLIER = "an earlier, longer output\n" * 40000
+
 #: the child's entry point: this file's run_tree, under the tree's own wgqed
 CHILD = "import runpy, sys; runpy.run_path(sys.argv[1])['run_tree'](*sys.argv[2:])"
 
 
-def run_once(main, argv: list[str], workdir: Path) -> dict:
-    """One cli.main run in the empty workdir: its code, streams, files and warnings."""
+def run_once(main, argv: list[str], workdir: Path, earlier: str | None) -> dict:
+    """One cli.main run in the empty workdir, holding earlier as "out" if given: its code,
+    streams, files and warnings."""
     stdout, stderr = io.StringIO(), io.StringIO()
     os.chdir(workdir)
+    if earlier is not None:
+        Path("out").write_text(earlier)
     with warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(stdout), redirect_stderr(stderr):
         warnings.simplefilter("always")
@@ -98,13 +106,15 @@ def run_once(main, argv: list[str], workdir: Path) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse refusals
             code = exc.code
+    files = {p.name: p.read_bytes().decode("latin-1") for p in workdir.iterdir()}
     return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
-            "files": {p.name: p.read_bytes().decode("latin-1") for p in workdir.iterdir()},
+            "files": {k: "EARLIER, as it was" if v == EARLIER else v for k, v in files.items()},
             "warnings": [[w.category.__name__, str(w.message)] for w in caught]}
 
 
 def run_tree(tree: str, outdir: str):
-    """In the child: the reference files and runs.json, one [run, run with --out] per argv."""
+    """In the child: the reference files and runs.json, one [run, run with --out, run with --out
+    over EARLIER] per argv."""
     import wgqed.cli
 
     out = Path(outdir)
@@ -114,8 +124,10 @@ def run_tree(tree: str, outdir: str):
     for name in REFERENCES:
         sys.argv = [name, str(out / name)]
         runpy.run_path(str(Path(tree, "tests", name)), run_name="__main__")
-    runs = [[run_once(wgqed.cli.main, argv + extra, Path(tempfile.mkdtemp(dir=out)))
-             for extra in ([], ["--out", "out"])] for argv in CORPUS]
+    out_flag = ["--out", "out"]
+    runs = [[run_once(wgqed.cli.main, argv + extra, Path(tempfile.mkdtemp(dir=out)), earlier)
+             for extra, earlier in (([], None), (out_flag, None), (out_flag, EARLIER))]
+            for argv in CORPUS]
     (out / "runs.json").write_text(json.dumps(runs))
 
 
@@ -153,9 +165,11 @@ def moved_entries(old: bytes, new: bytes) -> list[str]:
 
 
 def moved_fields(old: list[dict], new: list[dict]) -> list[str]:
-    """Per run of a CORPUS item (without and with --out), which of its fields differ."""
+    """Per run of a CORPUS item (without --out, with it, and with it over EARLIER), which of its
+    fields differ."""
+    runs = ("run", "run with --out", "run with --out over an earlier file")
     return [f"{run}: {', '.join(k for k in a if a[k] != b[k])}"
-            for run, a, b in zip(("run", "run with --out"), old, new) if a != b]
+            for run, a, b in zip(runs, old, new) if a != b]
 
 
 def main(argv: list[str]) -> int:
