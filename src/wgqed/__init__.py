@@ -2,14 +2,12 @@
 
 from .linalg import (
     fidelity,
-    partial_trace,
     tensor,
 )
 from .model import (
     DerivedRates,
     WaveguideParams,
     build_generator,
-    build_hamiltonian,
     derive_rates,
     mhz,
 )
@@ -37,7 +35,6 @@ from .states import (
     pseudo_werner,
     pw_vector,
     wait_time_for_f,
-    werner,
     werner_vector,
 )
 from .cpw import CpwDerived, CpwGeometry, cpw_derive, lambda_ratio_for_freq, wavelength

@@ -7,7 +7,7 @@ line endings, no timestamps, 12 significant digits in CSV and in JSON the shorte
 main opens --out once, before the run, and every result is written through that one stream from
 the file's start, in place: a regular file is then cut at the end of the new output, a device or
 FIFO (/dev/null, /dev/stdout, a pipe) is written without a cut, and a failed run's regular file
-is emptied and its path removed.
+is emptied and its path removed; a file that the run's open created goes after any failure.
 """
 
 from __future__ import annotations
@@ -420,17 +420,17 @@ def open_out(path: str | None):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    out = existed = None
+    out = created = None
     try:
         args = build_parser().parse_args(with_config(argv))
         for key, value in settings(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
-        existed = args.out is not None and os.path.lexists(args.out)
+        created = args.out is not None and not os.path.exists(args.out)  # follows a link
         out = open_out(args.out)  # refused here, before the run
         return args.func(args, out)
-    except ValueError as exc:  # raised before any write: an earlier --out is kept as it was
-        code, message, keep = EXIT_USAGE, f"error: {exc}", existed
+    except ValueError as exc:  # raised before any write: --out is kept as it was
+        code, message, keep = EXIT_USAGE, f"error: {exc}", True
     except OSError as exc:  # writing the output failed: --out (emit names it) or stdout
         if exc.filename is None and sys.stdout is sys.__stdout__:  # exit flushes it once more
             os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -445,9 +445,12 @@ def main(argv: list[str] | None = None) -> int:
     if out is not None and args.out is not None:  # a failed run's --out stream
         with contextlib.suppress(OSError):  # a failed stream fails its closing flush again
             out.close()
+        target = os.path.realpath(args.out)  # the file written, found while its link is there
         if not keep and os.path.isfile(args.out):  # a device or FIFO is left as it is
             os.truncate(args.out, 0)  # so a symlink's target keeps no earlier or partial output
             os.remove(args.out)
+        if created and os.path.isfile(target):  # this run's open made it
+            os.remove(target)
     print(message, file=sys.stderr)
     return code
 

@@ -75,27 +75,6 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace one qubit out of a 2- or 3-qubit density matrix.
-
-    ``subsystem`` selects the traced qubit by tensor position: ``"first"``
-    (slowest index), ``"middle"`` (3-qubit registers only) or ``"last"``.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim or n not in (2, 3):
-        raise ValueError(f"partial_trace expects a 4- or 8-dimensional matrix, got dim {dim}")
-    positions = {"first": 0, "middle": 1, "last": n - 1}
-    if subsystem not in positions:
-        raise ValueError(f"unknown subsystem {subsystem!r}")
-    if subsystem == "middle" and n != 3:
-        raise ValueError("'middle' requires a 3-qubit register")
-    k = positions[subsystem]
-    out = np.trace(rho.reshape((2,) * (2 * n)), axis1=k, axis2=n + k)
-    return out.reshape(2 ** (n - 1), -1)
-
-
 def _pade_rows(m: int) -> np.ndarray:
     """Coefficients of the [m/m] Padé approximant p(A)/p(-A) to exp(A).
 

@@ -111,11 +111,6 @@ def hamiltonian_at(theta) -> np.ndarray:
     return theta[0] * SZ_A / 2 + theta[1] * SZ_B / 2 + theta[2] * XY_EXCHANGE
 
 
-def build_hamiltonian(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
-    """Rotating-frame two-qubit Hamiltonian (4x4, Hermitian)."""
-    return hamiltonian_at(generator_coefficients(r, p))
-
-
 def lindblad_generator(h: np.ndarray, ops: list[np.ndarray], rates) -> np.ndarray:
     """Superoperator matrix for
     rho_dot = -i[H,rho] + sum_ij G_ij (A_i rho A_j^+ - 1/2 {A_j^+ A_i, rho}).

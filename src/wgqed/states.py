@@ -14,7 +14,6 @@ from .linalg import (
     SIGMA_X,
     XY_EXCHANGE,
     check_density_matrix,
-    partial_trace,
     sector,
     tensor,
     tensor_all,
@@ -34,11 +33,6 @@ def _fidelities(f, family: str, lo: float, hi: float) -> tuple:
         raise ValueError(f"{family} fidelity must be in [{lo:g}, {hi:g}], got "
                          f"{fs[out][0] if fs.ndim else f}")
     return fs, np.zeros_like(fs)
-
-
-def werner(f: float) -> np.ndarray:
-    """Mixture of the Bell singlet with the maximally mixed state."""
-    return x_matrix(werner_vector(f))
 
 
 def werner_vector(f) -> np.ndarray:
@@ -133,7 +127,7 @@ def prepare_pw(cfg: PrepConfig) -> PrepResult:
     rho2 = _gate(rho1, -g * XY_BA, t1, gamma_nr)
     rho3 = _gate(rho2, -g_bc * XY_CB, t2, gamma_nr)
 
-    rho_out = partial_trace(rho3, "first")
+    rho_out = np.trace(rho3.reshape(2, 4, 2, 4), axis1=0, axis2=2)  # c traced out
     return PrepResult(rho1=rho1, rho2=rho2, rho3=rho3, rho_out=rho_out,
                       gate_durations_us=(t1, t2) if cfg.with_dissipation else None)
 

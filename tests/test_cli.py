@@ -605,6 +605,23 @@ class TestOutInPlace:
         assert not os.path.lexists(link)
         assert target.read_bytes() == b""
 
+    def test_usage_error_through_a_dangling_link_leaves_it_dangling(self, tmp_path, capsys):
+        # the open creates the link's target; the refusal of --f comes after it
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["evolve", "--f", "5", "--lambda-ratio", "1.5",
+                     "--out", str(link)]) == EXIT_USAGE
+        assert "werner fidelity" in capsys.readouterr().err
+        assert link.is_symlink() and not os.path.lexists(target)
+
+    def test_failed_run_through_a_dangling_link_leaves_neither(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(TestExitCodes.EVOLVE + ["--gamma", "1e300", "--t-max", "1", "--sample-dt",
+                                            "0.5", "--out", str(link)]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not os.path.lexists(link) and not os.path.lexists(target)
+
     def test_failed_stdout_write_is_one_line_and_exit_2(self, monkeypatch, capsys):
         def failing(*args):
             yield "t_us\n"

@@ -21,7 +21,6 @@ from wgqed.linalg import (
     check_density_matrix,
     expm,
     fidelity,
-    partial_trace,
     tensor,
     tensor_all,
 )
@@ -114,34 +113,6 @@ class TestCheckDensityMatrix:
         # NaN passes every tolerance comparison, and eigvalsh does not converge on it
         with pytest.raises(ValueError, match="non-finite"):
             check_density_matrix(rho)
-
-
-class TestPartialTrace:
-    def test_recovers_product_factors(self):
-        left, right = random_density(2), random_density(2)
-        rho = tensor(left, right)
-        np.testing.assert_allclose(partial_trace(rho, "first"), right, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(rho, "last"), left, atol=1e-12)
-
-    def test_three_qubit_middle(self):
-        a, b, c = (random_density(2) for _ in range(3))
-        rho = tensor_all(a, b, c)
-        np.testing.assert_allclose(partial_trace(rho, "middle"), tensor(a, c),
-                                   atol=1e-12)
-
-    def test_preserves_trace(self):
-        rho = random_density(8)
-        for sub in ("first", "middle", "last"):
-            out = partial_trace(rho, sub)
-            np.testing.assert_allclose(np.trace(out), 1.0, atol=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="4- or 8-dimensional"):
-            partial_trace(np.eye(2), "first")
-        with pytest.raises(ValueError, match="unknown subsystem"):
-            partial_trace(np.eye(4), "top")
-        with pytest.raises(ValueError, match="3-qubit"):
-            partial_trace(np.eye(4), "middle")
 
 
 class TestFidelity:

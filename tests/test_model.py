@@ -12,8 +12,9 @@ from wgqed.model import (
     TWO_PI,
     WaveguideParams,
     build_generator,
-    build_hamiltonian,
     derive_rates,
+    generator_coefficients,
+    hamiltonian_at,
     lindblad_generator,
     mhz,
 )
@@ -94,27 +95,27 @@ class TestParamsValidation:
 class TestHamiltonian:
     def test_hermitian(self):
         p = params(1.3, delta_bare=mhz(0.5), g=mhz(2.0))
-        h = build_hamiltonian(derive_rates(p), p)
+        h = hamiltonian_at(generator_coefficients(derive_rates(p), p))
         assert hermiticity_defect(h) < 1e-12
 
     def test_exchange_couples_single_excitations_only(self):
         p = params(1.2)
-        h = build_hamiltonian(derive_rates(p), p)
+        h = hamiltonian_at(generator_coefficients(derive_rates(p), p))
         assert h[1, 2] == pytest.approx(derive_rates(p).g_x)
         assert h[0, 3] == 0 and h[0, 1] == 0 and h[0, 2] == 0
 
     def test_bare_detuning_splits_symmetrically(self):
         delta = mhz(1.0)
         p = params(2.0, delta_bare=delta)
-        h = build_hamiltonian(derive_rates(p), p)
+        h = hamiltonian_at(generator_coefficients(derive_rates(p), p))
         # at ratio 2 the induced shifts vanish, only the bare detuning remains
         assert h[1, 1] - h[2, 2] == pytest.approx(delta)
         assert h[0, 0] + h[3, 3] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_coupling_adds_to_induced(self):
         p0, p1 = params(1.2), params(1.2, g=mhz(3.0))
-        h0 = build_hamiltonian(derive_rates(p0), p0)
-        h1 = build_hamiltonian(derive_rates(p1), p1)
+        h0 = hamiltonian_at(generator_coefficients(derive_rates(p0), p0))
+        h1 = hamiltonian_at(generator_coefficients(derive_rates(p1), p1))
         assert (h1 - h0)[1, 2] == pytest.approx(mhz(3.0))
 
 
@@ -183,7 +184,7 @@ class TestGenerator:
         r = derive_rates(p)
         rates = [[r.gamma_a, r.gamma_col], [r.gamma_col, r.gamma_b]]
         for h, ops, g_ij in [
-            (build_hamiltonian(r, p), [SM_A, SM_B], rates),
+            (hamiltonian_at(generator_coefficients(r, p)), [SM_A, SM_B], rates),
             (omega / 2 * SIGMA_X, [SIGMA_MINUS], [[gamma_nr]]),
             (-g * XY_BA + delta_bare * np.diag(np.arange(8.0)), LOWERING_CBA,
              gamma_nr * np.eye(3)),

@@ -1,6 +1,7 @@
-"""Every name defined in src/ is used by the program or exported by the package, every
-parameter default in src/ is overridden by some call, and every dataclass field default in src/
-is relied on by some constructor call."""
+"""Every name defined in src/ is used by the program or exported by the package, every export is
+used by the program, the benchmark or the acceptance tests, every parameter default in src/ is
+overridden by some call, and every dataclass field default in src/ is relied on by some
+constructor call."""
 
 import ast
 import re
@@ -26,10 +27,14 @@ def used_names(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def exported_names() -> set[str]:
+    """The names that wgqed/__init__.py imports."""
+    return {alias.name for stmt in ast.parse((PACKAGE / "__init__.py").read_text()).body
+            if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+
+
 def test_no_name_only_tests_use():
-    exported = {alias.name
-                for stmt in ast.parse((PACKAGE / "__init__.py").read_text()).body
-                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    exported = exported_names()
     defined, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -40,6 +45,15 @@ def test_no_name_only_tests_use():
     dead = sorted(f"{module}:{name}" for name, module in defined.items()
                   if name not in used and name not in exported)
     assert not dead, f"defined in src/ but neither used there nor exported: {dead}"
+
+
+def test_every_export_is_run_by_the_program_the_benchmark_or_a_criterion():
+    repo = Path(__file__).parent.parent
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += [*(repo / "perfbench").glob("*.py"), repo / "tests" / "test_acceptance.py"]
+    used = set().union(*(used_names(ast.parse(p.read_text())) for p in readers))
+    unused = sorted(exported_names() - used)
+    assert not unused, f"exported by wgqed but used only by tests outside the criteria: {unused}"
 
 
 def defaulted_params(tree: ast.Module):

@@ -20,7 +20,7 @@ from wgqed.dynamics import evolve_xstate, propagate, x_matrix
 from wgqed.entangle import DEATH_RTOL
 from wgqed.linalg import STRUCT_TOL
 from wgqed.model import (SM_A, SM_B, DerivedRates, WaveguideParams, build_generator,
-                         build_hamiltonian, derive_rates, lindblad_generator)
+                         derive_rates, generator_coefficients, hamiltonian_at, lindblad_generator)
 from wgqed.states import FAMILIES, LOWERING_CBA
 
 
@@ -120,7 +120,8 @@ def hand_expanded_generator(r: DerivedRates, p: WaveguideParams) -> np.ndarray:
     the collective one expanded by hand:
     gamma_col (s-a rho s+b + s-b rho s+a - 1/2 {s+a s-b + s+b s-a, rho}).
     """
-    gen = channel_generator(build_hamiltonian(r, p), [(r.gamma_a, SM_A), (r.gamma_b, SM_B)])
+    gen = channel_generator(hamiltonian_at(generator_coefficients(r, p)),
+                            [(r.gamma_a, SM_A), (r.gamma_b, SM_B)])
     eye = np.eye(4, dtype=complex)
     cross = SM_A.conj().T @ SM_B + SM_B.conj().T @ SM_A
     gen += r.gamma_col * (np.kron(SM_A, SM_B.conj()) + np.kron(SM_B, SM_A.conj())
